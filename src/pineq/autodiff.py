@@ -57,11 +57,6 @@ __all__ = [
 
 _LOG2E = math.log2(math.e)
 
-# When True, every completed operation asserts that its result is finite.
-# Costs a full pass over each intermediate, so it is off by default and
-# switched on in tests that exercise the finiteness invariant.
-FINITE_CHECKS = False
-
 
 class ShapeError(ValueError):
     """Operands have incompatible shapes for the requested operation."""
@@ -125,9 +120,6 @@ class Tensor:
         return f"Tensor(op={self.op}, shape={self.data.shape}, grad={self.grad is not None})"
 
     # -- graph construction -------------------------------------------------
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def backward(self) -> None:
         """Backpropagate from a scalar; visits each graph node once."""
@@ -266,8 +258,6 @@ def _wrap(value) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
-    if FINITE_CHECKS and not np.isfinite(data).all():
-        raise FloatingPointError(f"non-finite values produced by {op}")
     rg = any(p.requires_grad for p in parents)
     return Tensor(data, rg, op=op, _parents=parents if rg else (),
                   _vjp=vjp if rg else None)
@@ -646,8 +636,4 @@ class Adam:
             v += (1.0 - b2) * (g * g)
             update = (m / c1) / (np.sqrt(v / c2) + self.eps)
             p.data -= self.lr * update
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None

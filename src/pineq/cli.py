@@ -6,7 +6,7 @@ One batch-oriented tool with seven subcommands::
     preprocess  run the DSP/image chains and save feature tensors
     split       stratified 4:1 record split
     sample      draw (soundtrack, photo) training pairs per record
-    train       train one model and checkpoint it with its report
+    train       run one experiment cell and checkpoint its model and report
     eval        score a saved checkpoint on a corpus' held-out records
     experiment  run the full (model x strategy x S x seed) grid
 
@@ -41,14 +41,13 @@ from .corpus import (
     stratified_split,
 )
 from .experiment import (
-    MODEL_NAMES,
     STRATEGIES,
     ExperimentSpec,
+    run_cell,
     run_experiment,
     write_outputs,
 )
 from .image import preprocess_image
-from .models import CrossModalConfig
 from .training import (
     FeatureStore,
     ReportRow,
@@ -58,7 +57,6 @@ from .training import (
     evaluate,
     format_loss_trace,
     format_report,
-    train,
 )
 
 
@@ -136,8 +134,6 @@ class _Options:
         if value is not None and cast is not None:
             try:
                 value = cast(value)
-            except UsageError:
-                raise
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"invalid value for --{name}: {value!r}") from exc
         self.effective[name] = value
@@ -175,6 +171,33 @@ def _load_corpus_arg(opts: _Options, out: Optional[Path]) -> Corpus:
     raise UsageError("one of --corpus or --synthetic is required")
 
 
+def _spec_arg(opts: _Options, grid: bool) -> ExperimentSpec:
+    """Resolve the grid and training flags into an ExperimentSpec.
+
+    With ``grid`` the model/strategy/samples/seed flags take comma lists;
+    without it each takes one value and the spec holds exactly one cell.
+    """
+    if grid:
+        strs, ints = _csv_strs, _csv_ints
+    else:
+        strs, ints = (lambda t: [t]), (lambda t: [int(t)])
+    try:
+        return ExperimentSpec(
+            models=tuple(opts.get("model", "crossmodal", strs)),
+            strategies=tuple(opts.get("strategy", "random", strs)),
+            samples_per_record=tuple(opts.get("samples-per-record", "8", ints)),
+            seeds=tuple(opts.get("seed", "0", ints)),
+            epochs=opts.get("epochs", 10, int),
+            batch=opts.get("batch", 16, int),
+            lr=opts.get("lr", 1e-3, float),
+            smoothing=opts.get("smoothing", 0.1, float),
+            pretrain_steps=opts.get("pretrain-steps", 0, int),
+            modality=opts.get("modality", "audio"),
+        )
+    except ValueError as exc:  # bad names and hyper-parameters are usage errors
+        raise UsageError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -185,10 +208,8 @@ def save_model(out: Path, model, model_name: str, cfg: TrainConfig,
     """Write weights (PQCT + index) and a JSON sidecar describing the shape."""
     ckpt = out / "model.ckpt"
     tensorio.save_checkpoint(ckpt, model.state_dict())
-    if isinstance(architecture, CrossModalConfig):
-        arch = dataclasses.asdict(architecture)
-    else:
-        arch = dict(architecture or {})
+    arch = (dataclasses.asdict(architecture)
+            if dataclasses.is_dataclass(architecture) else dict(architecture or {}))
     meta = {"model": model_name, "kind": cfg.model, "modality": cfg.modality,
             "architecture": arch}
     ckpt.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -200,10 +221,7 @@ def load_model(ckpt_path: Path):
     state = tensorio.load_checkpoint(ckpt_path)  # missing file -> data error
     meta = json.loads(ckpt_path.with_suffix(".json").read_text())
     cfg = TrainConfig(model=meta["kind"], modality=meta["modality"])
-    arch = meta["architecture"]
-    if meta["kind"] in ("crossmodal", "crossmodal-unimodal"):
-        arch = CrossModalConfig(**arch)
-    model = build_model(cfg, np.random.default_rng(0), arch)
+    model = build_model(cfg, np.random.default_rng(0), meta["architecture"])
     model.load_state_dict(state)
     return model, cfg, meta
 
@@ -298,53 +316,23 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _train_config(opts: _Options, model_name: str, seed: int) -> TrainConfig:
-    kind, fixed_modality = MODEL_NAMES[model_name]
-    try:
-        return TrainConfig(
-            model=kind,
-            modality=fixed_modality or opts.get("modality", "audio"),
-            epochs=opts.get("epochs", 10, int),
-            batch=opts.get("batch", 16, int),
-            lr=opts.get("lr", 1e-3, float),
-            smoothing=opts.get("smoothing", 0.1, float),
-            seed=seed,
-            pretrain_steps=opts.get("pretrain-steps", 0, int),
-        )
-    except ValueError as exc:  # bad hyper-parameter values are usage errors
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_train(args) -> int:
     opts = _Options(args)
     out = Path(opts.get("out", None) or _usage("--out is required"))
     corpus = _load_corpus_arg(opts, out)
-    model_name = opts.get("model", "crossmodal")
-    if model_name not in MODEL_NAMES:
-        raise UsageError(f"unknown model {model_name!r}")
-    strategy = opts.get("strategy", "random")
-    if strategy not in STRATEGIES:
-        raise UsageError(f"unknown strategy {strategy!r}")
-    samples = opts.get("samples-per-record", 8, int)
-    seed = opts.get("seed", 0, int)
-    cfg = _train_config(opts, model_name, seed)
-
-    train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
-    pairs = sample_corpus_pairs(train_recs, strategy, samples, seed=seed)
-    store = FeatureStore(corpus)
-    result = train(store, train_recs, pairs, cfg)
-    test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
-    confusion = evaluate(result.model, cfg, store, test_recs, test_pairs)
-    acc = accuracy(confusion)
+    spec = _spec_arg(opts, grid=False)
+    cell, result = run_cell(spec, corpus, FeatureStore(corpus), spec.cells()[0])
 
     out.mkdir(parents=True, exist_ok=True)
-    save_model(out, result.model, model_name, cfg, result.architecture)
-    row = ReportRow(model_name, strategy, len(train_recs) * samples, acc, seed)
-    report = format_report([row], matrices=[(f"{model_name}/{strategy}", confusion)],
+    save_model(out, result.model, cell.model, result.config, result.architecture)
+    row = ReportRow(cell.model, cell.strategy, cell.samples_total, cell.accuracy,
+                    cell.seed)
+    report = format_report([row], matrices=[(f"{cell.model}/{cell.strategy}",
+                                             cell.confusion)],
                            header=opts.header())
     (out / "report.txt").write_text(report)
     (out / "loss.csv").write_text(format_loss_trace(result.losses))
-    print(f"test accuracy {acc:.2f} over {confusion.total} pairs; "
+    print(f"test accuracy {cell.accuracy:.2f} over {cell.confusion.total} pairs; "
           f"checkpoint and report in {out}")
     return 0
 
@@ -378,21 +366,7 @@ def cmd_experiment(args) -> int:
     opts = _Options(args)
     out = Path(opts.get("out", None) or _usage("--out is required"))
     corpus = _load_corpus_arg(opts, out)
-    try:
-        spec = ExperimentSpec(
-            models=tuple(opts.get("model", "crossmodal", _csv_strs)),
-            strategies=tuple(opts.get("strategy", "random", _csv_strs)),
-            samples_per_record=tuple(opts.get("samples-per-record", "8", _csv_ints)),
-            seeds=tuple(opts.get("seed", "0", _csv_ints)),
-            epochs=opts.get("epochs", 10, int),
-            batch=opts.get("batch", 16, int),
-            lr=opts.get("lr", 1e-3, float),
-            smoothing=opts.get("smoothing", 0.1, float),
-            pretrain_steps=opts.get("pretrain-steps", 0, int),
-            modality=opts.get("modality", "audio"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _spec_arg(opts, grid=True)
     result = run_experiment(spec, corpus, extra_header=opts.header())
     write_outputs(result, out)
     sys.stdout.write("Mean over seeds:\n"
@@ -452,7 +426,7 @@ def build_parser() -> _Parser:
         "sample": (cmd_sample, "draw (soundtrack, photo) training pairs",
                    ["corpus", "synthetic", "records", "corpus-seed", "strategy",
                     "samples-per-record", "seed", "out", "config"]),
-        "train": (cmd_train, "train one model and checkpoint it",
+        "train": (cmd_train, "run one experiment cell and checkpoint its model",
                   ["corpus", "synthetic", "records", "corpus-seed", "model",
                    "modality", "strategy", "samples-per-record", "seed",
                    "epochs", "batch", "lr", "smoothing", "pretrain-steps",

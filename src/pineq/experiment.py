@@ -36,6 +36,7 @@ from .training import (
     MODALITIES,
     ReportRow,
     TrainConfig,
+    TrainResult,
     accuracy,
     evaluate,
     format_csv,
@@ -115,9 +116,10 @@ class CellOutcome:
     test_ids: Tuple[str, ...]
 
 
-def _run_cell(spec: ExperimentSpec, corpus: Corpus, store: FeatureStore,
-              architectures: Mapping[str, object],
-              cell: Tuple[str, str, int, int]) -> CellOutcome:
+def run_cell(spec: ExperimentSpec, corpus: Corpus, store: FeatureStore,
+             cell: Tuple[str, str, int, int],
+             architecture=None) -> Tuple[CellOutcome, TrainResult]:
+    """Split, sample, train and score one grid cell; also return the fit."""
     model_name, strategy, samples, seed = cell
     train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
     train_ids = tuple(r.record_id for r in train_recs)
@@ -127,18 +129,18 @@ def _run_cell(spec: ExperimentSpec, corpus: Corpus, store: FeatureStore,
     pairs = sample_corpus_pairs(train_recs, strategy, samples, seed=seed)
     test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
     cfg = spec.cell_config(model_name, seed)
-    result = train(store, train_recs, pairs, cfg,
-                   architecture=architectures.get(model_name))
+    result = train(store, train_recs, pairs, cfg, architecture=architecture)
     confusion = evaluate(result.model, cfg, store, test_recs, test_pairs)
-    return CellOutcome(model_name, strategy, samples, seed,
-                       len(train_recs) * samples, accuracy(confusion),
-                       confusion, tuple(result.losses),
-                       tuple(result.pretrain_losses), train_ids, test_ids)
+    outcome = CellOutcome(model_name, strategy, samples, seed,
+                          len(train_recs) * samples, accuracy(confusion),
+                          confusion, tuple(result.losses),
+                          tuple(result.pretrain_losses), train_ids, test_ids)
+    return outcome, result
 
 
 def _worker(args) -> CellOutcome:
-    spec, corpus, architectures, cell = args
-    return _run_cell(spec, corpus, FeatureStore(corpus), architectures, cell)
+    spec, corpus, architecture, cell = args
+    return run_cell(spec, corpus, FeatureStore(corpus), cell, architecture)[0]
 
 
 def _worker_count(n_cells: int) -> int:
@@ -186,10 +188,11 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(workers) as pool:
             outcomes = pool.map(
-                _worker, [(spec, corpus, architectures, c) for c in cells])
+                _worker, [(spec, corpus, architectures.get(c[0]), c)
+                          for c in cells])
     else:
         store = store if store is not None else FeatureStore(corpus)
-        outcomes = [_run_cell(spec, corpus, store, architectures, c)
+        outcomes = [run_cell(spec, corpus, store, c, architectures.get(c[0]))[0]
                     for c in cells]
 
     rows = [ReportRow(o.model, o.strategy, o.samples_total, o.accuracy, o.seed)

@@ -34,19 +34,19 @@ class FormatError(ValueError):
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype=np.float32)
+    arr = np.asarray(arr, dtype=np.float32, order="C")  # rank 0 stays rank 0
     header = MAGIC + struct.pack("<HH", VERSION, arr.ndim)
     extents = struct.pack(f"<{arr.ndim}I", *arr.shape)
     payload = arr.astype("<f4", copy=False).tobytes()
     return header + extents + payload
 
 
-def tensor_from_bytes(data: bytes) -> np.ndarray:
+def tensor_from_bytes(data: bytes | memoryview) -> np.ndarray:
     """Parse one container from the head of ``data`` (trailing bytes ignored)."""
     if len(data) < 8:
         raise FormatError("truncated header")
     if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}")
+        raise FormatError(f"bad magic {bytes(data[:4])!r}")
     version, rank = struct.unpack("<HH", data[4:8])
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
@@ -62,13 +62,6 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
         )
     flat = np.frombuffer(data[need:end], dtype="<f4")
     return flat.reshape(shape).astype(np.float32, copy=True)
-
-
-def container_length(data: bytes) -> int:
-    """Total byte length of the container at the head of ``data``."""
-    _, rank = struct.unpack("<HH", data[4:8])
-    shape = struct.unpack(f"<{rank}I", data[8 : 8 + 4 * rank])
-    return 8 + 4 * rank + 4 * int(np.prod(shape))
 
 
 def save_tensor(path: str | Path, arr: np.ndarray) -> None:
@@ -94,12 +87,18 @@ def save_checkpoint(path: str | Path, named: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Read every tensor the index lists; each must have its indexed shape."""
     path = Path(path)
-    blob = path.read_bytes()
+    view = memoryview(path.read_bytes())
     named: dict[str, np.ndarray] = {}
     for line in Path(str(path) + ".idx").read_text().splitlines():
         if not line.strip():
             continue
-        name, offset, _shape = line.split()
-        named[name] = tensor_from_bytes(blob[int(offset):])
+        name, offset, shape = line.split(" ")  # a scalar's shape is ""
+        arr = tensor_from_bytes(view[int(offset):])
+        found = "x".join(str(d) for d in arr.shape)
+        if found != shape:
+            raise FormatError(
+                f"{path}: tensor {name} has shape {found}, index says {shape}")
+        named[name] = arr
     return named

@@ -21,7 +21,7 @@ output distribution; images arrive already standardized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,8 +68,13 @@ class FeatureStore:
         self.corpus = corpus
         self._cache: Dict[Tuple[str, str], np.ndarray] = {}
 
-    def _bytes(self, meta: MediaMeta) -> bytes:
-        return self.corpus.media_path(meta).read_bytes()
+    def _decode(self, meta: MediaMeta, decode) -> np.ndarray:
+        """``decode`` the media file's bytes; its errors name the file."""
+        data = self.corpus.media_path(meta).read_bytes()
+        try:
+            return decode(data)
+        except ValueError as exc:
+            raise type(exc)(f"{meta.path}: {exc}") from exc
 
     def _get(self, kind: str, meta: MediaMeta, compute) -> np.ndarray:
         key = (kind, meta.path)
@@ -81,7 +86,7 @@ class FeatureStore:
     def audio_map(self, meta: MediaMeta) -> np.ndarray:
         """Standardized (1024, 128) float32 log-Mel map."""
         def compute():
-            mel = preprocess_audio(self._bytes(meta))
+            mel = self._decode(meta, preprocess_audio)
             return ((mel - AUDIO_FEATURE_MEAN) / AUDIO_FEATURE_SCALE).astype(np.float32)
         return self._get("audio-map", meta, compute)
 
@@ -93,18 +98,15 @@ class FeatureStore:
     def image_map(self, meta: MediaMeta) -> np.ndarray:
         """Channel-first (3, 224, 224) float32 standardized image."""
         def compute():
-            img = preprocess_image(self._bytes(meta))
+            img = self._decode(meta, preprocess_image)
             return np.ascontiguousarray(img.transpose(2, 0, 1))
         return self._get("image-map", meta, compute)
 
     def image_tokens(self, meta: MediaMeta) -> np.ndarray:
         """(196, 768) float32 patch tokens of the standardized image."""
         def compute():
-            return patchify_image(preprocess_image(self._bytes(meta)))
+            return patchify_image(self._decode(meta, preprocess_image))
         return self._get("image-tokens", meta, compute)
-
-    def clear(self) -> None:
-        self._cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +268,17 @@ def _derive_weights(labels: np.ndarray) -> Tuple[float, float, float, float]:
 
 def build_model(cfg: TrainConfig, rng: np.random.Generator,
                 architecture=None) -> Module:
-    """Instantiate the model kind named by ``cfg`` with seeded weights."""
+    """Instantiate the model kind named by ``cfg`` with seeded weights.
+
+    ``architecture`` holds keyword overrides; the crossmodal kinds also
+    take a ready ``CrossModalConfig``.
+    """
     if cfg.model in ("crossmodal", "crossmodal-unimodal"):
-        arch = architecture if architecture is not None else CrossModalConfig()
-        return CrossModalEncoder(arch, rng)
+        if architecture is None:
+            architecture = CrossModalConfig()
+        elif isinstance(architecture, Mapping):
+            architecture = CrossModalConfig(**architecture)
+        return CrossModalEncoder(architecture, rng)
     arch = dict(architecture or {})
     if cfg.model == "ensemble":
         return EnsembleModel(rng, **arch)
@@ -342,6 +351,14 @@ def _forward(model: Module, cfg: TrainConfig, store: FeatureStore,
                                  "visual")
 
 
+def _finite_loss(loss: Tensor, step: int, phase: str) -> float:
+    """The scalar loss of one optimizer step; a non-finite one stops the fit."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise ValueError(f"{phase} diverged: loss {value} at step {step}")
+    return value
+
+
 def _pretrain(model: CrossModalEncoder, cfg: TrainConfig, store: FeatureStore,
               examples: Sequence[Example], init_rng: np.random.Generator,
               mask_rng: np.random.Generator) -> List[float]:
@@ -361,9 +378,10 @@ def _pretrain(model: CrossModalEncoder, cfg: TrainConfig, store: FeatureStore,
             v = _visual_batch(model, store, chunk)
             mask = pre.sample_mask(mask_rng, len(chunk))
             loss, _ = pre.loss(Tensor(a), Tensor(v), mask)
+            value = _finite_loss(loss, len(losses) + 1, "pretraining")
             loss.backward()
             opt.step()
-            losses.append(loss.item())
+            losses.append(value)
     return losses
 
 
@@ -376,6 +394,7 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
     epoch shuffles all derive from ``cfg.seed`` through separate streams.
     Class weights default to inverse example frequency over the training
     set. Returns the trained model and per-epoch weighted mean losses.
+    A non-finite step loss raises ``ValueError`` naming the step.
     """
     examples = _collect_examples(records, pairs_by_id)
     if not examples:
@@ -398,6 +417,7 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
     opt = Adam(trainable_parameters(model, cfg), lr=cfg.lr)
     n = len(examples)
     epoch_losses: List[float] = []
+    step = 0
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         num = 0.0
@@ -408,10 +428,12 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
             logits = _forward(model, cfg, store, chunk)
             loss = weighted_smoothed_ce(logits, labels[idx], weights,
                                         cfg.smoothing)
+            step += 1
+            value = _finite_loss(loss, step, "training")
             loss.backward()
             opt.step()
             wsum = batch_weight_sum(labels[idx], weights)
-            num += loss.item() * wsum
+            num += value * wsum
             den += wsum
         epoch_losses.append(num / den)
     return TrainResult(model, epoch_losses, pretrain_losses, cfg, architecture)

@@ -1,15 +1,19 @@
 """End-to-end command-line tests driven through main()'s exit codes."""
 
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pineq
 from pineq import tensorio
 from pineq.audio import preprocess_audio
 from pineq.cli import main, read_config
-from pineq.corpus import load_corpus, stratified_split
+from pineq.corpus import load_corpus, sample_corpus_pairs, stratified_split
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +106,44 @@ def test_train_writes_artifacts(trained_dir):
     assert any(k.startswith("backbone.") for k in state)
 
 
+def test_train_is_one_experiment_cell(corpus_dir, trained_dir, tmp_path, capsys):
+    out = tmp_path / "grid"
+    assert main(["experiment", "--corpus", str(corpus_dir), "--model", "cnn",
+                 "--strategy", "random", "--samples-per-record", "2",
+                 "--epochs", "1", "--batch", "4", "--seed", "0",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "loss_cnn_random_s2_seed0.csv").read_bytes() == \
+        (trained_dir / "loss.csv").read_bytes()
+    cell_row = (out / "results.csv").read_text().splitlines()[1].split(",")
+    report = (trained_dir / "report.txt").read_text()
+    row = [l for l in report.splitlines() if l.startswith("cnn")][0].split()
+    assert row == ["cnn", "random", cell_row[2], cell_row[3],
+                   f"{float(cell_row[4]):.2f}"]
+    echoed = [l for l in report.splitlines() if l.startswith("# ")]
+    assert "# modality: audio" in echoed
+    grid_report = (out / "report.txt").read_text().splitlines()
+    assert grid_report[:len(echoed)] == echoed  # same settings, same order
+
+
+def test_corrupt_wav_is_data_error_naming_the_file(corpus_dir, tmp_path, capsys):
+    corpus_copy = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus_copy)
+    corpus = load_corpus(corpus_copy / "manifest.txt")
+    train_recs, _ = stratified_split(list(corpus.records), seed=0)
+    pairs = sample_corpus_pairs(train_recs, "random", 2, seed=0)
+    rec = train_recs[0]
+    meta = rec.audio[pairs[rec.record_id][0][0]]
+    corpus.media_path(meta).write_bytes(b"not a wav file at all")
+    rc = main(["train", "--corpus", str(corpus_copy), "--model", "cnn",
+               "--strategy", "random", "--samples-per-record", "2",
+               "--epochs", "1", "--batch", "4", "--seed", "0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == \
+        f"error: {meta.path}: missing RIFF/WAVE header"
+
+
 def test_eval_reproduces_train_accuracy(corpus_dir, trained_dir, capsys):
     assert main(["eval", "--model", str(trained_dir / "model.ckpt"),
                  "--corpus", str(corpus_dir), "--seed", "0"]) == 0
@@ -189,8 +231,10 @@ def test_experiment_rerun_is_byte_identical(corpus_dir, tmp_path, capsys):
                (tmp_path / "r2" / name).read_bytes(), name
 
 
-def test_module_invocation():
+def test_module_invocation(tmp_path):
+    # the child runs elsewhere, so it gets the package's own absolute root
+    env = dict(os.environ, PYTHONPATH=str(Path(pineq.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "pineq", "--help"],
-                          capture_output=True, text=True, cwd="/tmp")
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0
     assert "usage: pineq" in proc.stdout

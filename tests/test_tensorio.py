@@ -73,11 +73,12 @@ def test_checkpoint_roundtrip_and_index(tmp_path):
         "head.w": rng.standard_normal((4, 3)).astype(np.float32),
         "head.b": rng.standard_normal((3,)).astype(np.float32),
         "emb": rng.standard_normal((2, 5, 2)).astype(np.float32),
+        "scale": np.float32(0.5),
     }
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, named)
     idx_lines = (tmp_path / "model.ckpt.idx").read_text().strip().splitlines()
-    assert len(idx_lines) == 3
+    assert len(idx_lines) == 4
     # each line: name, byte offset, shape
     name, offset, shape = idx_lines[0].split()
     assert name == "head.w" and offset == "0" and shape == "4x3"
@@ -85,6 +86,16 @@ def test_checkpoint_roundtrip_and_index(tmp_path):
     assert list(back) == list(named)  # order preserved
     for key in named:
         np.testing.assert_array_equal(back[key], named[key])
+
+
+def test_checkpoint_rejects_index_shape_mismatch(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, {"w": np.ones((2, 3), dtype=np.float32)})
+    idx = tmp_path / "model.ckpt.idx"
+    assert idx.read_text() == "w 0 2x3\n"
+    idx.write_text("w 0 7x7\n")
+    with pytest.raises(FormatError, match="w has shape 2x3, index says 7x7"):
+        load_checkpoint(ckpt)
 
 
 def test_checkpoint_offsets_are_real_containers(tmp_path):

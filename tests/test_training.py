@@ -363,6 +363,37 @@ def test_unimodal_training_leaves_other_stream_untouched(small_corpus):
                               init["audio_proj.weight"])
 
 
+def test_build_model_takes_a_plain_dict_architecture():
+    from dataclasses import asdict
+
+    from pineq.training import build_model
+
+    cfg = TrainConfig(model="crossmodal")
+    from_dict = build_model(cfg, np.random.default_rng(4), asdict(EVAL_CFG))
+    from_cfg = build_model(cfg, np.random.default_rng(4), EVAL_CFG)
+    assert from_dict.cfg == EVAL_CFG
+    a, b = from_dict.state_dict(), from_cfg.state_dict()
+    assert list(a) == list(b)
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key])
+
+
+def test_diverging_fit_stops_naming_step_and_loss(small_corpus):
+    store = FeatureStore(small_corpus)
+    records = list(small_corpus.records)
+    pairs = {r.record_id: [(0, 0), (1, 1)] for r in records}
+    # a step this large overflows the weights on the first update
+    cnn = TrainConfig(model="cnn-unimodal", epochs=3, batch=4, lr=1e30)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match=r"^training diverged: loss nan at step 2$"):
+        train(store, records, pairs, cnn)
+    pre = TrainConfig(model="crossmodal", epochs=1, batch=4, lr=1e30,
+                      pretrain_steps=4)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match=r"^pretraining diverged: loss nan at step 2$"):
+        train(store, records, pairs, pre, architecture=EVAL_CFG)
+
+
 def test_pretraining_changes_the_initialization(small_corpus):
     store = FeatureStore(small_corpus)
     records = list(small_corpus.records)
