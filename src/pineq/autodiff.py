@@ -2,8 +2,9 @@
 
 The training side of this package needs gradients for a fairly small
 set of operations: elementwise arithmetic, rectifier/exp/log, matrix
-products (plain and batched), 2-D convolution, max pooling, softmax and
-the shape plumbing around them (reshape/transpose/concat/narrow/sum).
+products (plain and batched), 2-D convolution, max pooling over disjoint
+windows, softmax and the shape plumbing around them
+(reshape/transpose/concat/narrow/sum).
 Rather than pulling in a framework, this module records a computation
 graph while the forward pass runs and replays it backwards.
 
@@ -373,38 +374,35 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), vjp, "bmm")
 
 
-def _pair(v) -> tuple[int, int]:
-    return tuple(v) if isinstance(v, (tuple, list)) else (int(v), int(v))
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-            ho: int, wo: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int) -> np.ndarray:
     n, c = xp.shape[:2]
     cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
+            cols[:, :, i, j] = xp[:, :, i : i + s * ho : s, j : j + s * wo : s]
     return cols.reshape(n, c * kh * kw, ho * wo)
 
 
-def conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
-    """2-D cross-correlation of (N,C,H,W) input with (O,C,kh,kw) kernels."""
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation of (N,C,H,W) input with (O,C,kh,kw) kernels.
+
+    ``stride`` and ``padding`` apply equally to both spatial axes.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d expects (N,C,H,W) input and (O,C,kh,kw) kernels")
     n, c, h, wd = x.data.shape
     o, c2, kh, kw = w.data.shape
     if c != c2:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {c2}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (wd + 2 * pw - kw) // sw + 1
+    s, p = int(stride), int(padding)
+    ho = (h + 2 * p - kh) // s + 1
+    wo = (wd + 2 * p - kw) // s + 1
     if ho < 1 or wo < 1:
         raise ShapeError(
-            f"conv2d kernel {kh}x{kw} does not fit padded input {h + 2 * ph}x{wd + 2 * pw}"
+            f"conv2d kernel {kh}x{kw} does not fit padded input {h + 2 * p}x{wd + 2 * p}"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(xp, kh, kw, sh, sw, ho, wo)              # (N, C*kh*kw, L)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = _im2col(xp, kh, kw, s, ho, wo)                   # (N, C*kh*kw, L)
     w2 = w.data.reshape(o, c * kh * kw)
     out = np.matmul(w2[None], cols).reshape(n, o, ho, wo)
 
@@ -412,50 +410,50 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
         g2 = g.reshape(n, o, ho * wo)
         # recompute cols rather than closing over them: conv activations on
         # audio-sized maps make stored columns the dominant memory cost
-        cols_b = _im2col(xp, kh, kw, sh, sw, ho, wo)
+        cols_b = _im2col(xp, kh, kw, s, ho, wo)
         dw = np.einsum("nol,nkl->ok", g2, cols_b, optimize=True)
         dcols = np.matmul(w2.T[None], g2)                   # (N, K, L)
         dcols = dcols.reshape(n, c, kh, kw, ho, wo)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += dcols[:, :, i, j]
-        dx = dxp[:, :, ph : ph + h, pw : pw + wd] if (ph or pw) else dxp
+                dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += dcols[:, :, i, j]
+        dx = dxp[:, :, p : p + h, p : p + wd] if p else dxp
         return (dx, dw.reshape(w.data.shape))
 
     return _node(out, (x, w), vjp, "conv2d")
 
 
-def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
-    """Max pooling; gradient goes to the first maximum in row-major order."""
+def maxpool2d(x: Tensor, window: int) -> Tensor:
+    """Max over disjoint ``window`` x ``window`` blocks of (N,C,H,W) input.
+
+    Trailing rows and columns that fill no whole block are dropped (and get
+    zero gradient); each block's gradient goes to its first maximum in
+    row-major order.
+    """
     if x.data.ndim != 4:
         raise ShapeError("maxpool2d expects (N,C,H,W)")
-    kw = int(window)
-    sw = kw if stride is None else int(stride)
-    n, c, h, w = x.data.shape
-    if kw > h or kw > w:
-        raise ShapeError(f"pool window {kw} exceeds input {h}x{w}")
-    ho = (h - kw) // sw + 1
-    wo = (w - kw) // sw + 1
-    s = x.data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(n, c, ho, wo, kw, kw),
-        strides=(s[0], s[1], s[2] * sw, s[3] * sw, s[2], s[3]),
-    )
-    flat = windows.reshape(n, c, ho, wo, kw * kw)
-    idx = flat.argmax(axis=-1)                      # first max in row-major scan
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    k = int(window)
+    xd = x.data
+    h, w = xd.shape[2:]
+    if k > h or k > w:
+        raise ShapeError(f"pool window {k} exceeds input {h}x{w}")
+    ho, wo = h // k, w // k
+    taps = [(slice(None), slice(None), slice(i, i + k * ho, k), slice(j, j + k * wo, k))
+            for i in range(k) for j in range(k)]          # row-major block offsets
+    out = xd[taps[0]].copy()
+    for t in taps[1:]:
+        np.maximum(out, xd[t], out=out)  # keeps the earlier value on ties
 
     def vjp(g):
-        dx = np.zeros_like(x.data)
-        ni, ci, yi, xi = np.indices((n, c, ho, wo), sparse=False)
-        rows = yi * sw + idx // kw
-        cols = xi * sw + idx % kw
-        if sw >= kw:  # windows disjoint: positions unique
-            dx[ni, ci, rows, cols] = g
-        else:
-            np.add.at(dx, (ni, ci, rows, cols), g)
+        dx = np.zeros_like(xd)
+        hit = np.empty(out.shape, dtype=bool)
+        open_ = np.ones(out.shape, dtype=bool)            # blocks not yet routed
+        for t in taps:
+            np.equal(xd[t], out, out=hit)
+            hit &= open_
+            open_ ^= hit
+            np.copyto(dx[t], g, where=hit)
         return (dx,)
 
     return _node(out, (x,), vjp, "maxpool2d")

@@ -151,24 +151,23 @@ class _Options:
 
 
 def _load_corpus_arg(opts: _Options, out: Optional[Path]) -> Corpus:
-    """Resolve --corpus / --synthetic (+--records) into a Corpus."""
+    """Resolve --corpus, or --synthetic with its --records/--corpus-seed, into a Corpus."""
     corpus_path = opts.get("corpus", None)
-    synthetic = opts.get("synthetic", False, _bool)
-    records = opts.get("records", 80, int)
-    corpus_seed = opts.get("corpus-seed", 0, int)
-    if corpus_path and synthetic:
-        raise UsageError("--corpus and --synthetic are mutually exclusive")
-    if corpus_path:
+    if not opts.get("synthetic", False, _bool):
+        del opts.effective["synthetic"]
+        if not corpus_path:
+            raise UsageError("one of --corpus or --synthetic is required")
         path = Path(corpus_path)
         if path.is_dir():
             path = path / "manifest.txt"
         return load_corpus(path)
-    if synthetic:
-        if out is None:
-            raise UsageError("--synthetic requires --out for the generated corpus")
-        cfg = SyntheticConfig(records=records, seed=corpus_seed)
-        return generate_synthetic(cfg, out / "corpus")
-    raise UsageError("one of --corpus or --synthetic is required")
+    if corpus_path:
+        raise UsageError("--corpus and --synthetic are mutually exclusive")
+    if out is None:
+        raise UsageError("--synthetic requires --out for the generated corpus")
+    cfg = SyntheticConfig(records=opts.get("records", 80, int),
+                          seed=opts.get("corpus-seed", 0, int))
+    return generate_synthetic(cfg, out / "corpus")
 
 
 def _spec_arg(opts: _Options, grid: bool) -> ExperimentSpec:
@@ -259,11 +258,11 @@ def cmd_preprocess(args) -> int:
     count = 0
     for rec in corpus.records:
         for meta in rec.audio:
-            mel = preprocess_audio(corpus.media_path(meta).read_bytes())
+            mel = corpus.decode_media(meta, preprocess_audio)
             tensorio.save_tensor(out / f"{Path(meta.path).stem}.pqct", mel)
             count += 1
         for meta in rec.photos:
-            img = preprocess_image(corpus.media_path(meta).read_bytes())
+            img = corpus.decode_media(meta, preprocess_image)
             tensorio.save_tensor(out / f"{Path(meta.path).stem}.pqct", img)
             count += 1
     print(f"wrote {count} feature tensors to {out}")

@@ -163,6 +163,14 @@ class Corpus:
     def media_path(self, meta: MediaMeta) -> Path:
         return self.root / meta.path
 
+    def decode_media(self, meta: MediaMeta, decode: Callable[[bytes], np.ndarray]):
+        """``decode`` the media file's bytes; its errors name the file."""
+        data = self.media_path(meta).read_bytes()
+        try:
+            return decode(data)
+        except ValueError as exc:
+            raise type(exc)(f"{meta.path}: {exc}") from exc
+
 
 # ---------------------------------------------------------------------------
 # class bookkeeping
@@ -200,16 +208,13 @@ def class_weights(labels: Sequence[QualityLabel]) -> List[Fraction]:
 def stratified_split(
     records: Sequence[PineappleRecord],
     seed: int,
-    train_fraction: float = 0.8,
 ) -> Tuple[List[PineappleRecord], List[PineappleRecord]]:
-    """Deterministic per-grade split preserving class proportions.
+    """Deterministic 4:1 per-grade split preserving class proportions.
 
     Each grade is shuffled with a generator seeded by ``seed`` and the
-    first ``round(train_fraction * n_c)`` records go to the train side.
+    first ``round(0.8 * n_c)`` records go to the train side.
     Record order within each side follows the original corpus order.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
     rng = np.random.default_rng(seed)
     train_idx: List[int] = []
     test_idx: List[int] = []
@@ -217,7 +222,7 @@ def stratified_split(
         idxs = [i for i, r in enumerate(records) if r.label == label]
         if not idxs:
             continue
-        take = int(math.floor(train_fraction * len(idxs) + 0.5))
+        take = int(math.floor(0.8 * len(idxs) + 0.5))
         perm = rng.permutation(len(idxs))
         chosen = {idxs[p] for p in perm[:take]}
         train_idx.extend(sorted(chosen))

@@ -377,17 +377,14 @@ class MaePretrainer(Module):
     contrastive term are mean-pooled per modality before masking.
     """
 
-    def __init__(self, encoder: CrossModalEncoder, rng: np.random.Generator,
-                 mask_ratio: float = 0.75, temperature: float = 0.07,
-                 contrastive_weight: float = 0.1):
-        if not 0.0 < mask_ratio <= 1.0:
-            raise ValueError(f"mask ratio must be in (0, 1], got {mask_ratio}")
+    mask_ratio = 0.75          # share of the N tokens masked per sample
+    temperature = 0.07         # InfoNCE temperature of the alignment term
+    contrastive_weight = 0.1   # alignment term's weight beside reconstruction
+
+    def __init__(self, encoder: CrossModalEncoder, rng: np.random.Generator):
         cfg = encoder.cfg
         c = cfg.token_dim
         self.encoder = encoder
-        self.mask_ratio = float(mask_ratio)
-        self.temperature = float(temperature)
-        self.contrastive_weight = float(contrastive_weight)
         self.mask_token = Tensor(
             rng.normal(0.0, 0.02, size=(c,)).astype(np.float32), requires_grad=True)
         self.dec_ln = LayerNorm(c)

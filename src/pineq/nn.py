@@ -86,11 +86,9 @@ class Module:
 class Linear(Module):
     """Affine map on the last axis; token inputs (B, N, C) are flattened."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
-                 scale: float | None = None):
-        s = (1.0 / math.sqrt(n_in)) if scale is None else scale
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.weight = Tensor(
-            rng.normal(0.0, s, size=(n_in, n_out)).astype(np.float32),
+            rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_in, n_out)).astype(np.float32),
             requires_grad=True,
         )
         self.bias = Tensor(np.zeros(n_out, dtype=np.float32), requires_grad=True)

@@ -68,14 +68,6 @@ class FeatureStore:
         self.corpus = corpus
         self._cache: Dict[Tuple[str, str], np.ndarray] = {}
 
-    def _decode(self, meta: MediaMeta, decode) -> np.ndarray:
-        """``decode`` the media file's bytes; its errors name the file."""
-        data = self.corpus.media_path(meta).read_bytes()
-        try:
-            return decode(data)
-        except ValueError as exc:
-            raise type(exc)(f"{meta.path}: {exc}") from exc
-
     def _get(self, kind: str, meta: MediaMeta, compute) -> np.ndarray:
         key = (kind, meta.path)
         hit = self._cache.get(key)
@@ -83,29 +75,29 @@ class FeatureStore:
             hit = self._cache[key] = compute()
         return hit
 
+    def _mel(self, meta: MediaMeta) -> np.ndarray:
+        mel = self.corpus.decode_media(meta, preprocess_audio)
+        return ((mel - AUDIO_FEATURE_MEAN) / AUDIO_FEATURE_SCALE).astype(np.float32)
+
     def audio_map(self, meta: MediaMeta) -> np.ndarray:
         """Standardized (1024, 128) float32 log-Mel map."""
-        def compute():
-            mel = self._decode(meta, preprocess_audio)
-            return ((mel - AUDIO_FEATURE_MEAN) / AUDIO_FEATURE_SCALE).astype(np.float32)
-        return self._get("audio-map", meta, compute)
+        return self._get("audio-map", meta, lambda: self._mel(meta))
 
     def audio_tokens(self, meta: MediaMeta) -> np.ndarray:
         """(512, 256) float32 patch tokens of the standardized Mel map."""
-        return self._get("audio-tokens", meta,
-                         lambda: patchify_audio(self.audio_map(meta)))
+        return self._get("audio-tokens", meta, lambda: patchify_audio(self._mel(meta)))
 
     def image_map(self, meta: MediaMeta) -> np.ndarray:
         """Channel-first (3, 224, 224) float32 standardized image."""
         def compute():
-            img = self._decode(meta, preprocess_image)
+            img = self.corpus.decode_media(meta, preprocess_image)
             return np.ascontiguousarray(img.transpose(2, 0, 1))
         return self._get("image-map", meta, compute)
 
     def image_tokens(self, meta: MediaMeta) -> np.ndarray:
         """(196, 768) float32 patch tokens of the standardized image."""
         def compute():
-            return patchify_image(self._decode(meta, preprocess_image))
+            return patchify_image(self.corpus.decode_media(meta, preprocess_image))
         return self._get("image-tokens", meta, compute)
 
 
@@ -212,7 +204,6 @@ class TrainConfig:
     batch: int = 16
     lr: float = 1e-3
     smoothing: float = 0.1
-    class_weights: Optional[Tuple[float, float, float, float]] = None
     seed: int = 0
     pretrain_steps: int = 0
 
@@ -231,11 +222,6 @@ class TrainConfig:
             raise ValueError("smoothing must lie in [0, 1)")
         if self.pretrain_steps < 0:
             raise ValueError("pretrain_steps must be >= 0")
-        if self.class_weights is not None:
-            w = tuple(float(x) for x in self.class_weights)
-            if len(w) != N_CLASSES or any(x <= 0 for x in w):
-                raise ValueError(f"class_weights must be {N_CLASSES} positive reals")
-            object.__setattr__(self, "class_weights", w)
 
 
 @dataclass
@@ -392,7 +378,7 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
 
     Deterministic per seed: model initialization, pretraining masks, and
     epoch shuffles all derive from ``cfg.seed`` through separate streams.
-    Class weights default to inverse example frequency over the training
+    Class weights are the inverse example frequencies over the training
     set. Returns the trained model and per-epoch weighted mean losses.
     A non-finite step loss raises ``ValueError`` naming the step.
     """
@@ -400,7 +386,7 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
     if not examples:
         raise ValueError("training set is empty")
     labels = np.array([int(rec.label) for rec, _, _ in examples])
-    weights = cfg.class_weights or _derive_weights(labels)
+    weights = _derive_weights(labels)
 
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))

@@ -78,20 +78,30 @@ def naive_conv2d(x, w, stride=1, padding=0):
     return out
 
 
-def naive_maxpool(x, window, stride):
+def naive_maxpool(x, window):
     n, c, h, w = x.shape
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
+    ho, wo = h // window, w // window
     out = np.zeros((n, c, ho, wo), dtype=x.dtype)
     for ni in range(n):
         for ci in range(c):
             for yi in range(ho):
                 for xi in range(wo):
                     out[ni, ci, yi, xi] = x[
-                        ni, ci, yi * stride : yi * stride + window,
-                        xi * stride : xi * stride + window,
+                        ni, ci, yi * window : (yi + 1) * window,
+                        xi * window : (xi + 1) * window,
                     ].max()
     return out
+
+
+def naive_maxpool_grad(x, window, g):
+    """Each block's output gradient at its first maximum in row-major order."""
+    dx = np.zeros_like(x)
+    for ni, ci, yi, xi in np.ndindex(g.shape):
+        block = x[ni, ci, yi * window : (yi + 1) * window,
+                  xi * window : (xi + 1) * window]
+        ky, kx = divmod(int(np.argmax(block)), window)  # argmax: first maximum
+        dx[ni, ci, yi * window + ky, xi * window + kx] = g[ni, ci, yi, xi]
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +172,36 @@ def test_conv2d_kernel_larger_than_input_raises():
 
 def test_maxpool_forward_and_tie_break():
     x = t64(2, 3, 8, 6)
-    got = maxpool2d(x, window=2, stride=2)
-    np.testing.assert_allclose(got.data, naive_maxpool(x.data, 2, 2))
+    got = maxpool2d(x, window=2)
+    np.testing.assert_allclose(got.data, naive_maxpool(x.data, 2))
     # ties must route the gradient to the first element in row-major order
     tie = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-    out = maxpool2d(tie, window=2, stride=2)
+    out = maxpool2d(tie, window=2)
     out.sum().backward()
     np.testing.assert_array_equal(
         tie.grad, np.array([[[[1.0, 0.0], [0.0, 0.0]]]])
     )
 
 
+@pytest.mark.parametrize("window", [2, 3])
+def test_maxpool_matches_naive_on_ties_and_ragged_edges(window):
+    rng = np.random.default_rng(window)
+    # few distinct values, so most blocks hold tied maxima; neither side
+    # is a multiple of the window, so trailing rows and columns are dropped
+    x = rng.integers(-2, 3, size=(2, 3, 3 * window + 1, 5 * window - 1)).astype(np.float64)
+    xt = Tensor(x, requires_grad=True)
+    out = maxpool2d(xt, window)
+    np.testing.assert_array_equal(out.data, naive_maxpool(x, window))
+    g = rng.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(xt.grad, naive_maxpool_grad(x, window, g))
+    assert not xt.grad[:, :, 3 * window:].any()
+    assert not xt.grad[:, :, :, 4 * window:].any()
+
+
 def test_maxpool_window_exceeding_input_raises():
     with pytest.raises(ShapeError):
-        maxpool2d(t64(1, 1, 2, 2), window=3, stride=3)
+        maxpool2d(t64(1, 1, 2, 2), window=3)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariance():
@@ -319,7 +345,7 @@ def test_conv2d_gradient_matches_finite_differences():
 def test_maxpool_gradient_matches_finite_differences():
     x = t64(2, 2, 6, 6)
     err = grad_check(
-        lambda xx: (maxpool2d(xx, window=2, stride=2) ** 2).sum(), [x], eps=1e-5
+        lambda xx: (maxpool2d(xx, window=2) ** 2).sum(), [x], eps=1e-5
     )
     assert err < 1e-3
 

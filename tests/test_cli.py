@@ -144,6 +144,27 @@ def test_corrupt_wav_is_data_error_naming_the_file(corpus_dir, tmp_path, capsys)
         f"error: {meta.path}: missing RIFF/WAVE header"
 
 
+def test_preprocess_corrupt_wav_is_data_error_naming_the_file(corpus_dir, tmp_path,
+                                                             capsys):
+    corpus_copy = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus_copy)
+    corpus = load_corpus(corpus_copy / "manifest.txt")
+    meta = corpus.records[0].audio[0]
+    corpus.media_path(meta).write_bytes(b"not a wav file at all")
+    rc = main(["preprocess", "--corpus", str(corpus_copy),
+               "--out", str(tmp_path / "features")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == \
+        f"error: {meta.path}: missing RIFF/WAVE header"
+
+
+def test_corpus_report_echoes_no_synthetic_settings(trained_dir):
+    report = (trained_dir / "report.txt").read_text().splitlines()
+    echoed = {l[2:].split(":")[0] for l in report if l.startswith("# ")}
+    assert "corpus" in echoed
+    assert not echoed & {"synthetic", "records", "corpus-seed"}
+
+
 def test_eval_reproduces_train_accuracy(corpus_dir, trained_dir, capsys):
     assert main(["eval", "--model", str(trained_dir / "model.ckpt"),
                  "--corpus", str(corpus_dir), "--seed", "0"]) == 0

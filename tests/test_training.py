@@ -13,7 +13,8 @@ from pineq.corpus import (
     generate_synthetic,
     sample_corpus_pairs,
 )
-from pineq.models import CrossModalConfig, CrossModalEncoder
+from pineq import training
+from pineq.models import CrossModalConfig, CrossModalEncoder, patchify_audio
 from pineq.training import (
     AUDIO_FEATURE_MEAN,
     AUDIO_FEATURE_SCALE,
@@ -185,6 +186,21 @@ def test_feature_store_shapes_normalization_and_caching(small_corpus):
     assert itok.shape == (196, 768)
 
 
+def test_audio_tokens_cache_one_array_per_soundtrack(small_corpus, monkeypatch):
+    store = FeatureStore(small_corpus)
+    meta = small_corpus.records[0].audio[0]
+    atok = store.audio_tokens(meta)
+    assert len(store._cache) == 1  # the tokens, not the Mel map beside them
+
+    def no_decode(data):
+        raise AssertionError("a cache hit decoded the soundtrack again")
+
+    monkeypatch.setattr(training, "preprocess_audio", no_decode)
+    assert store.audio_tokens(meta) is atok
+    monkeypatch.undo()
+    np.testing.assert_array_equal(atok, patchify_audio(store.audio_map(meta)))
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -206,8 +222,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(pretrain_steps=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(class_weights=(1.0, -1.0, 1.0, 1.0))
 
 
 def test_train_requires_examples(small_corpus):
@@ -243,8 +257,7 @@ def test_overfit_single_repeated_instance(small_corpus):
     rec = small_corpus.records[0]
     pairs = {rec.record_id: [(0, 0)]}
     cfg = TrainConfig(model="cnn-unimodal", modality="audio", epochs=200,
-                      batch=1, lr=1e-3, smoothing=0.0, seed=0,
-                      class_weights=UNIFORM)
+                      batch=1, lr=1e-3, smoothing=0.0, seed=0)
     result = train(store, [rec], pairs, cfg,
                    architecture={"embed_dim": 8, "head_hidden": 6})
     assert result.losses[-1] < 0.05, f"final loss {result.losses[-1]:.4f}"
