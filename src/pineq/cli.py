@@ -218,9 +218,16 @@ def save_model(out: Path, model, model_name: str, cfg: TrainConfig,
 def load_model(ckpt_path: Path):
     """Rebuild the architecture from the sidecar and load the weights."""
     state = tensorio.load_checkpoint(ckpt_path)  # missing file -> data error
-    meta = json.loads(ckpt_path.with_suffix(".json").read_text())
-    cfg = TrainConfig(model=meta["kind"], modality=meta["modality"])
-    model = build_model(cfg, np.random.default_rng(0), meta["architecture"])
+    sidecar = ckpt_path.with_suffix(".json")
+    try:
+        meta = json.loads(sidecar.read_text())
+        missing = [k for k in ("model", "kind", "modality", "architecture") if k not in meta]
+        if missing:
+            raise ValueError(f"missing {', '.join(missing)}")
+        cfg = TrainConfig(model=meta["kind"], modality=meta["modality"])
+        model = build_model(cfg, np.random.default_rng(0), meta["architecture"])
+    except (TypeError, ValueError) as exc:  # malformed JSON, missing keys or bad values
+        raise ValueError(f"{sidecar}: {exc}") from exc
     model.load_state_dict(state)
     return model, cfg, meta
 

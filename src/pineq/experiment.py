@@ -86,8 +86,9 @@ class ExperimentSpec:
             raise ValueError("seeds must be non-empty")
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        # delegate the shared hyper-parameter checks
-        self.cell_config(self.models[0], seed=int(self.seeds[0]))
+        # every model's cells must be valid training runs, checked up front
+        for model in self.models:
+            self.cell_config(model, seed=int(self.seeds[0]))
 
     def cell_config(self, model_name: str, seed: int) -> TrainConfig:
         kind, fixed_modality = MODEL_NAMES[model_name]

@@ -9,8 +9,12 @@ Two families share the same 4-way grading head:
   modality embeddings, passed through per-modality transformer blocks,
   and fused by joint blocks that attend across the concatenated token
   sequence.  The same trunk also classifies a single modality
-  (:meth:`CrossModalEncoder.unimodal_forward`), which is how the
+  (:meth:`CrossModalEncoder.unimodal_tokens`), which is how its
   audio-only and visual-only baselines are run.
+
+Every classifier, :class:`CnnClassifier` too, reads a batch through
+``logits(mel, image)``: stacked Mel maps and images, ``None`` for an
+unread stream, turned into the model's own input view.
 
 :class:`MaePretrainer` adds self-supervised pretraining on unlabeled
 pairs: mask most tokens after the per-modality blocks, reconstruct the
@@ -104,6 +108,20 @@ def patchify_image(img: np.ndarray) -> np.ndarray:
     return tok[0] if single else tok
 
 
+def _regroup(tokens: np.ndarray, n_tokens: int, patch_dim: int) -> np.ndarray:
+    """Adapt (B, T, D) tokens to a model expecting (n_tokens, patch_dim).
+
+    When the model is configured with fewer, wider tokens than the native
+    patch grid, runs of consecutive patches are merged into one token —
+    the values are untouched, only the grouping changes.
+    """
+    b, t, d = tokens.shape
+    if t * d != n_tokens * patch_dim or t % n_tokens:
+        raise ShapeError(
+            f"cannot regroup {t}x{d} patch tokens into {n_tokens}x{patch_dim}")
+    return tokens.reshape(b, n_tokens, patch_dim)
+
+
 # ---------------------------------------------------------------------------
 # CNN family
 # ---------------------------------------------------------------------------
@@ -175,6 +193,10 @@ class CnnClassifier(Module):
     def predict_proba(self, x: np.ndarray | Tensor) -> Tensor:
         return softmax(self.forward(x), axis=-1)
 
+    def logits(self, mel: np.ndarray | None, image: np.ndarray | None) -> Tensor:
+        """(B, classes) logits of the one stream given, the other ``None``."""
+        return self.forward(image if mel is None else mel[:, None])
+
 
 class EnsembleModel(Module):
     """Per-modality CNN embeddings concatenated into a shared MLP head."""
@@ -199,6 +221,10 @@ class EnsembleModel(Module):
     def predict_proba(self, mel, image) -> Tensor:
         """Grade probabilities: softmax over the fused logits."""
         return softmax(self.forward(mel, image), axis=-1)
+
+    def logits(self, mel: np.ndarray, image: np.ndarray) -> Tensor:
+        """(B, classes) logits of both streams, which ``forward`` takes as they are."""
+        return self.forward(mel, image)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +330,7 @@ class CrossModalEncoder(Module):
         return self.final_ln(x).mean(axis=1)
 
     def forward_tokens(self, audio_tok: Tensor, visual_tok: Tensor) -> Tensor:
-        """Fused (B, classes) logits; the training-loop entry point."""
+        """Fused (B, classes) logits of token batches."""
         a = self.encode_audio(audio_tok)
         v = self.encode_visual(visual_tok)
         return self.head(self._pool(concat([a, v], axis=1)))
@@ -327,6 +353,29 @@ class CrossModalEncoder(Module):
     def unimodal_forward(self, tok: Tensor, modality: str) -> Tensor:
         """Single-stream grade probabilities."""
         return softmax(self.unimodal_tokens(tok, modality), axis=-1)
+
+    def patch_tokens(self, mel: np.ndarray | None, image: np.ndarray | None):
+        """(B, T, F) Mel maps and (B, 3, H, W) images as the token batches
+        this encoder's config expects; ``None`` passes through."""
+        cfg = self.cfg
+        audio = visual = None
+        if mel is not None:
+            audio = _regroup(patchify_audio(mel), cfg.audio_tokens, cfg.audio_patch_dim)
+        if image is not None:
+            visual = _regroup(patchify_image(image.transpose(0, 2, 3, 1)),
+                              cfg.visual_tokens, cfg.visual_patch_dim)
+        return audio, visual
+
+    def logits(self, mel: np.ndarray | None, image: np.ndarray | None) -> Tensor:
+        """(B, classes) logits: fused when both streams are given, else
+        single-stream through the shared trunk."""
+        audio, visual = self.patch_tokens(mel, image)
+        del mel, image  # only the token copies stay alive through the forward pass
+        if visual is None:
+            return self.unimodal_tokens(Tensor(audio), "audio")
+        if audio is None:
+            return self.unimodal_tokens(Tensor(visual), "visual")
+        return self.forward_tokens(Tensor(audio), Tensor(visual))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 This module connects the preprocessing front ends to the classifiers:
 
-* :class:`FeatureStore` lazily turns corpus media into cached model-ready
-  arrays (normalized Mel maps, patch tokens, channel-first image maps).
+* :class:`FeatureStore` lazily turns each corpus media file into one cached
+  model-ready array: a standardized Mel map or a channel-first image.
 * :func:`weighted_smoothed_ce` is the training objective — class-weighted
   cross-entropy against label-smoothed targets.
 * :func:`train` runs seeded mini-batch optimization (optionally preceded by
@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .audio import MEL_BANDS, MEL_FRAMES, preprocess_audio
-from .autodiff import Adam, ShapeError, Tensor, log_softmax
+from .autodiff import Adam, Tensor, log_softmax
 from .corpus import Corpus, MediaMeta, PineappleRecord
 from .image import TARGET_SIZE, preprocess_image
 from .models import (
@@ -57,48 +57,40 @@ N_CLASSES = 4
 
 
 class FeatureStore:
-    """Lazy cache of model-ready feature arrays for one corpus.
+    """Lazy cache of one model-ready array per media file of a corpus.
 
-    Each accessor computes the full preprocessing chain on first use and
-    memoizes the result by (kind, media path), so repeated epochs and
-    repeated experiment cells over the same corpus pay the DSP cost once.
+    The first access runs the full preprocessing chain and memoizes the
+    result by media path, so repeated epochs and repeated experiment cells
+    over the same corpus pay the DSP cost once. Tokens are computed per call.
     """
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self._cache: Dict[Tuple[str, str], np.ndarray] = {}
+        self._cache: Dict[str, np.ndarray] = {}
 
-    def _get(self, kind: str, meta: MediaMeta, compute) -> np.ndarray:
-        key = (kind, meta.path)
-        hit = self._cache.get(key)
+    def _get(self, meta: MediaMeta, decode, finish) -> np.ndarray:
+        hit = self._cache.get(meta.path)
         if hit is None:
-            hit = self._cache[key] = compute()
+            hit = self._cache[meta.path] = finish(self.corpus.decode_media(meta, decode))
         return hit
-
-    def _mel(self, meta: MediaMeta) -> np.ndarray:
-        mel = self.corpus.decode_media(meta, preprocess_audio)
-        return ((mel - AUDIO_FEATURE_MEAN) / AUDIO_FEATURE_SCALE).astype(np.float32)
 
     def audio_map(self, meta: MediaMeta) -> np.ndarray:
         """Standardized (1024, 128) float32 log-Mel map."""
-        return self._get("audio-map", meta, lambda: self._mel(meta))
+        return self._get(meta, preprocess_audio, lambda mel: (
+            (mel - AUDIO_FEATURE_MEAN) / AUDIO_FEATURE_SCALE).astype(np.float32))
 
     def audio_tokens(self, meta: MediaMeta) -> np.ndarray:
         """(512, 256) float32 patch tokens of the standardized Mel map."""
-        return self._get("audio-tokens", meta, lambda: patchify_audio(self._mel(meta)))
+        return patchify_audio(self.audio_map(meta))
 
     def image_map(self, meta: MediaMeta) -> np.ndarray:
         """Channel-first (3, 224, 224) float32 standardized image."""
-        def compute():
-            img = self.corpus.decode_media(meta, preprocess_image)
-            return np.ascontiguousarray(img.transpose(2, 0, 1))
-        return self._get("image-map", meta, compute)
+        return self._get(meta, preprocess_image,
+                         lambda img: np.ascontiguousarray(img.transpose(2, 0, 1)))
 
     def image_tokens(self, meta: MediaMeta) -> np.ndarray:
         """(196, 768) float32 patch tokens of the standardized image."""
-        def compute():
-            return patchify_image(self.corpus.decode_media(meta, preprocess_image))
-        return self._get("image-tokens", meta, compute)
+        return patchify_image(self.image_map(meta).transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +214,8 @@ class TrainConfig:
             raise ValueError("smoothing must lie in [0, 1)")
         if self.pretrain_steps < 0:
             raise ValueError("pretrain_steps must be >= 0")
+        if self.pretrain_steps and self.model in ("cnn-unimodal", "ensemble"):
+            raise ValueError(f"pretraining applies only to crossmodal kinds, not {self.model}")
 
 
 @dataclass
@@ -273,68 +267,37 @@ def build_model(cfg: TrainConfig, rng: np.random.Generator,
     return CnnClassifier(rng, 3, (TARGET_SIZE, TARGET_SIZE), **arch)
 
 
+def _streams(cfg: TrainConfig) -> Tuple[str, ...]:
+    """The input streams a run reads: both for the fused kinds, else its modality."""
+    return MODALITIES if cfg.model in ("ensemble", "crossmodal") else (cfg.modality,)
+
+
 def trainable_parameters(model: Module, cfg: TrainConfig) -> List[Tensor]:
     """Parameters the supervised loss can reach.
 
     A single-stream run through the token encoder never touches the other
-    modality's projection/position/type/block weights, so those are left
-    out of the optimizer.
+    stream's projection/position/type/block weights (named after their
+    modality), so those are left out of the optimizer.
     """
-    if cfg.model != "crossmodal-unimodal":
-        return model.parameters()
-    unused = "visual" if cfg.modality == "audio" else "audio"
+    unread = tuple(m for m in MODALITIES if m not in _streams(cfg))
     return [p for name, p in model.named_parameters().items()
-            if not name.startswith(unused)]
+            if not name.startswith(unread)]
 
 
-def _regroup(tokens: np.ndarray, n_tokens: int, patch_dim: int) -> np.ndarray:
-    """Adapt (B, T, D) tokens to a model expecting (n_tokens, patch_dim).
-
-    When the model is configured with fewer, wider tokens than the native
-    patch grid, runs of consecutive patches are merged into one token —
-    the values are untouched, only the grouping changes.
-    """
-    b, t, d = tokens.shape
-    if (t, d) == (n_tokens, patch_dim):
-        return tokens
-    if t * d != n_tokens * patch_dim or t % n_tokens:
-        raise ShapeError(
-            f"cannot regroup {t}x{d} patch tokens into {n_tokens}x{patch_dim}")
-    return tokens.reshape(b, n_tokens, patch_dim)
-
-
-def _audio_batch(model, store: FeatureStore, chunk: Sequence[Example]) -> np.ndarray:
-    arr = np.stack([store.audio_tokens(r.audio[j]) for r, j, _ in chunk])
-    return _regroup(arr, model.cfg.audio_tokens, model.cfg.audio_patch_dim)
-
-
-def _visual_batch(model, store: FeatureStore, chunk: Sequence[Example]) -> np.ndarray:
-    arr = np.stack([store.image_tokens(r.photos[k]) for r, _, k in chunk])
-    return _regroup(arr, model.cfg.visual_tokens, model.cfg.visual_patch_dim)
+def _stack(store: FeatureStore, chunk: Sequence[Example], stream: str) -> np.ndarray:
+    """The cached arrays of one stream of a batch, stacked."""
+    if stream == "audio":
+        return np.stack([store.audio_map(r.audio[j]) for r, j, _ in chunk])
+    return np.stack([store.image_map(r.photos[k]) for r, _, k in chunk])
 
 
 def _forward(model: Module, cfg: TrainConfig, store: FeatureStore,
              chunk: Sequence[Example]) -> Tensor:
     """Logits for one batch of (record, soundtrack, photo) examples."""
-    kind = cfg.model
-    if kind == "cnn-unimodal":
-        if cfg.modality == "audio":
-            x = np.stack([store.audio_map(r.audio[j]) for r, j, _ in chunk])[:, None]
-        else:
-            x = np.stack([store.image_map(r.photos[k]) for r, _, k in chunk])
-        return model.forward(x)
-    if kind == "ensemble":
-        mel = np.stack([store.audio_map(r.audio[j]) for r, j, _ in chunk])
-        img = np.stack([store.image_map(r.photos[k]) for r, _, k in chunk])
-        return model.forward(mel, img)
-    if kind == "crossmodal":
-        return model.forward_tokens(Tensor(_audio_batch(model, store, chunk)),
-                                    Tensor(_visual_batch(model, store, chunk)))
-    if cfg.modality == "audio":
-        return model.unimodal_tokens(Tensor(_audio_batch(model, store, chunk)),
-                                     "audio")
-    return model.unimodal_tokens(Tensor(_visual_batch(model, store, chunk)),
-                                 "visual")
+    read = _streams(cfg)
+    # no local holds the stacks, so the model can drop them once it has its view
+    return model.logits(_stack(store, chunk, "audio") if "audio" in read else None,
+                        _stack(store, chunk, "visual") if "visual" in read else None)
 
 
 def _finite_loss(loss: Tensor, step: int, phase: str) -> float:
@@ -360,8 +323,8 @@ def _pretrain(model: CrossModalEncoder, cfg: TrainConfig, store: FeatureStore,
             if len(losses) >= cfg.pretrain_steps:
                 break
             chunk = [examples[i] for i in order[start:start + cfg.batch]]
-            a = _audio_batch(model, store, chunk)
-            v = _visual_batch(model, store, chunk)
+            a, v = model.patch_tokens(_stack(store, chunk, "audio"),
+                                      _stack(store, chunk, "visual"))
             mask = pre.sample_mask(mask_rng, len(chunk))
             loss, _ = pre.loss(Tensor(a), Tensor(v), mask)
             value = _finite_loss(loss, len(losses) + 1, "pretraining")
@@ -395,8 +358,6 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
 
     pretrain_losses: List[float] = []
     if cfg.pretrain_steps:
-        if not isinstance(model, CrossModalEncoder):
-            raise ValueError("pretraining applies only to crossmodal kinds")
         pretrain_losses = _pretrain(model, cfg, store, examples,
                                     init_rng, mask_rng)
 

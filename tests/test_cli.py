@@ -202,6 +202,35 @@ def test_usage_errors(corpus_dir, tmp_path, capsys):
         assert capsys.readouterr().err
 
 
+def test_mixed_grid_with_pretraining_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "grid"
+    rc = main(["experiment", "--synthetic", "--records", "8",
+               "--model", "ensemble,crossmodal", "--pretrain-steps", "2",
+               "--out", str(out)])
+    assert rc == 1
+    assert "pretraining applies only to crossmodal kinds" in capsys.readouterr().err
+    assert not (out / "report.txt").exists()
+
+
+@pytest.mark.parametrize("sidecar, reason", [
+    ('{"kind": ', "Expecting value"),
+    ('{"model": "cnn", "modality": "audio", "architecture": {}}', "missing kind"),
+    ('{"model": "cnn", "kind": "cnn-unimodal", "modality": "audio"}',
+     "missing architecture"),
+], ids=["corrupt-json", "no-kind", "no-architecture"])
+def test_eval_bad_sidecar_is_data_error_naming_it(trained_dir, tmp_path, capsys,
+                                                   sidecar, reason):
+    for name in ("model.ckpt", "model.ckpt.idx"):
+        shutil.copy(trained_dir / name, tmp_path / name)
+    (tmp_path / "model.json").write_text(sidecar)
+    rc = main(["eval", "--model", str(tmp_path / "model.ckpt"),
+               "--corpus", "unused"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {tmp_path / 'model.json'}: "), err
+    assert reason in err
+
+
 def test_malformed_manifest_is_data_error(tmp_path, capsys):
     bad = tmp_path / "manifest.txt"
     bad.write_text("counts 2 2\nrecord a Ripe\n")

@@ -50,6 +50,16 @@ def test_spec_validation():
         cnn_spec(modality="haptic")
 
 
+@pytest.mark.parametrize("models", [("crossmodal", "ensemble"),
+                                    ("ensemble", "crossmodal")],
+                         ids=["crossmodal-first", "ensemble-first"])
+def test_mixed_grid_with_pretraining_fails_at_spec(models):
+    # every model's cell config is checked, not only the first one's
+    with pytest.raises(ValueError, match="pretraining applies only to crossmodal"):
+        cnn_spec(models=models, pretrain_steps=2)
+    cnn_spec(models=models)  # the same grid without pretraining is valid
+
+
 def test_infeasible_samples_rejected_before_training(corpus, store):
     spec = cnn_spec(samples_per_record=(400,))  # J*K = 320
     with pytest.raises(InfeasibleSampleError):

@@ -14,12 +14,19 @@ from pineq.corpus import (
     sample_corpus_pairs,
 )
 from pineq import training
-from pineq.models import CrossModalConfig, CrossModalEncoder, patchify_audio
+from pineq.models import (
+    CrossModalConfig,
+    CrossModalEncoder,
+    EnsembleModel,
+    patchify_audio,
+    patchify_image,
+)
 from pineq.training import (
     AUDIO_FEATURE_MEAN,
     AUDIO_FEATURE_SCALE,
     ConfusionMatrix,
     FeatureStore,
+    MODALITIES,
     ReportRow,
     TrainConfig,
     accuracy,
@@ -178,7 +185,7 @@ def test_feature_store_shapes_normalization_and_caching(small_corpus):
 
     atok = store.audio_tokens(rec.audio[0])
     assert atok.shape == (512, 256)
-    assert store.audio_tokens(rec.audio[0]) is atok
+    np.testing.assert_array_equal(store.audio_tokens(rec.audio[0]), atok)
 
     imap = store.image_map(rec.photos[0])
     assert imap.shape == (3, 224, 224) and imap.dtype == np.float32
@@ -186,19 +193,28 @@ def test_feature_store_shapes_normalization_and_caching(small_corpus):
     assert itok.shape == (196, 768)
 
 
-def test_audio_tokens_cache_one_array_per_soundtrack(small_corpus, monkeypatch):
+@pytest.mark.parametrize("stream", ["audio", "image"])
+def test_store_caches_one_array_per_media_file(small_corpus, monkeypatch, stream):
     store = FeatureStore(small_corpus)
-    meta = small_corpus.records[0].audio[0]
-    atok = store.audio_tokens(meta)
-    assert len(store._cache) == 1  # the tokens, not the Mel map beside them
+    rec = small_corpus.records[0]
+    if stream == "audio":
+        meta, decoder = rec.audio[0], "preprocess_audio"
+    else:
+        meta, decoder = rec.photos[0], "preprocess_image"
+    fmap = getattr(store, f"{stream}_map")(meta)
+    tokens = getattr(store, f"{stream}_tokens")(meta)
+    assert len(store._cache) == 1  # the map only; tokens are computed from it
 
     def no_decode(data):
-        raise AssertionError("a cache hit decoded the soundtrack again")
+        raise AssertionError("a cache hit decoded the media file again")
 
-    monkeypatch.setattr(training, "preprocess_audio", no_decode)
-    assert store.audio_tokens(meta) is atok
-    monkeypatch.undo()
-    np.testing.assert_array_equal(atok, patchify_audio(store.audio_map(meta)))
+    monkeypatch.setattr(training, decoder, no_decode)
+    assert getattr(store, f"{stream}_map")(meta) is fmap
+    np.testing.assert_array_equal(getattr(store, f"{stream}_tokens")(meta), tokens)
+    assert len(store._cache) == 1
+    want = (patchify_audio(fmap) if stream == "audio"
+            else patchify_image(fmap.transpose(1, 2, 0)))  # channel-last patches
+    np.testing.assert_array_equal(tokens, want)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +238,10 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(pretrain_steps=-1)
+    for kind in ("cnn-unimodal", "ensemble"):  # no token encoder to pretrain
+        with pytest.raises(ValueError, match="pretraining applies only"):
+            TrainConfig(model=kind, pretrain_steps=2)
+    TrainConfig(model="crossmodal-unimodal", pretrain_steps=2)
 
 
 def test_train_requires_examples(small_corpus):
@@ -282,45 +302,85 @@ def test_cnn_audio_reaches_090_train_accuracy(tmp_path):
 
 EVAL_CFG = CrossModalConfig(token_dim=8, heads=2, modality_blocks=1,
                             joint_blocks=1, head_hidden=6)
+SMALL_CNN = {"embed_dim": 8, "head_hidden": 6}
+
+
+def _scripted_counts(examples, scripted):
+    want = np.zeros((4, 4), dtype=np.int64)
+    for (rec, _, _), row in zip(examples, scripted):
+        want[int(rec.label), int(np.argmax(row))] += 1
+    return want
 
 
 def test_evaluate_matches_scripted_loop(small_corpus):
     store = FeatureStore(small_corpus)
     records = list(small_corpus.records)
-    model = CrossModalEncoder(EVAL_CFG, np.random.default_rng(31))
     pairs = {r.record_id: build_test_pairs(r)[:2] for r in records}
-    tc = TrainConfig(model="crossmodal")
-    conf = evaluate(model, tc, store, records, pairs, batch=3)
-    assert conf.total == 8
-    # scripted per-instance loop over the same frozen model
-    want = np.zeros((4, 4), dtype=np.int64)
-    for rec in records:
-        for j, k in pairs[rec.record_id]:
-            a = Tensor(store.audio_tokens(rec.audio[j])[None])
-            v = Tensor(store.image_tokens(rec.photos[k])[None])
-            pred = int(np.argmax(model.forward_tokens(a, v).data[0]))
-            want[int(rec.label), pred] += 1
-    np.testing.assert_array_equal(conf.counts, want)
-    assert conf.counts.sum(axis=1)[int(records[0].label)] >= 1
+    examples = [(r, j, k) for r in records for j, k in pairs[r.record_id]]
+    mel = np.stack([store.audio_map(r.audio[j]) for r, j, _ in examples])
+    img = np.stack([store.image_map(r.photos[k]) for r, _, k in examples])
+    encoder = CrossModalEncoder(EVAL_CFG, np.random.default_rng(31))
+    ensemble = EnsembleModel(np.random.default_rng(32), **SMALL_CNN)
+
+    def fused(rec, j, k):
+        a = Tensor(store.audio_tokens(rec.audio[j])[None])
+        v = Tensor(store.image_tokens(rec.photos[k])[None])
+        return encoder.forward_tokens(a, v)
+
+    def ensembled(rec, j, k):
+        return ensemble.forward(store.audio_map(rec.audio[j])[None],
+                                store.image_map(rec.photos[k])[None])
+
+    for kind, model, script in (("crossmodal", encoder, fused),
+                                ("ensemble", ensemble, ensembled)):
+        conf = evaluate(model, TrainConfig(model=kind), store, records, pairs,
+                        batch=3)
+        assert conf.total == 8
+        # scripted per-instance loop over the same frozen model
+        scripted = np.concatenate([script(*ex).data for ex in examples])
+        np.testing.assert_array_equal(conf.counts, _scripted_counts(examples, scripted),
+                                      err_msg=kind)
+        # the view logits builds from stacked maps feeds the same rows
+        np.testing.assert_allclose(model.logits(mel, img).data, scripted,
+                                   rtol=1e-4, atol=1e-4, err_msg=kind)
+        assert conf.counts.sum(axis=1)[int(records[0].label)] >= 1
 
 
 def test_evaluate_unimodal_routes_requested_modality(small_corpus):
+    from pineq.training import build_model
+
     store = FeatureStore(small_corpus)
     records = list(small_corpus.records)
-    model = CrossModalEncoder(EVAL_CFG, np.random.default_rng(33))
     pairs = {r.record_id: [(0, 0)] for r in records}
-    ca = evaluate(model, TrainConfig(model="crossmodal-unimodal", modality="audio"),
-                  store, records, pairs)
-    cv = evaluate(model, TrainConfig(model="crossmodal-unimodal", modality="visual"),
-                  store, records, pairs)
-    assert ca.total == cv.total == 4
-    # scripted audio-only loop agrees
-    want = np.zeros((4, 4), dtype=np.int64)
-    for rec in records:
-        a = Tensor(store.audio_tokens(rec.audio[0])[None])
-        pred = int(np.argmax(model.unimodal_tokens(a, "audio").data[0]))
-        want[int(rec.label), pred] += 1
-    np.testing.assert_array_equal(ca.counts, want)
+    examples = [(r, 0, 0) for r in records]
+    mel = np.stack([store.audio_map(r.audio[0]) for r in records])
+    img = np.stack([store.image_map(r.photos[0]) for r in records])
+    encoder = CrossModalEncoder(EVAL_CFG, np.random.default_rng(33))
+    cnn = {m: build_model(TrainConfig(model="cnn-unimodal", modality=m),
+                          np.random.default_rng(34), SMALL_CNN) for m in MODALITIES}
+    # (kind, modality, model, batch for logits, scripted entry point per record)
+    cases = (
+        ("crossmodal-unimodal", "audio", encoder, (mel, None),
+         lambda r: encoder.unimodal_tokens(
+             Tensor(store.audio_tokens(r.audio[0])[None]), "audio")),
+        ("crossmodal-unimodal", "visual", encoder, (None, img),
+         lambda r: encoder.unimodal_tokens(
+             Tensor(store.image_tokens(r.photos[0])[None]), "visual")),
+        ("cnn-unimodal", "audio", cnn["audio"], (mel, None),
+         lambda r: cnn["audio"].forward(store.audio_map(r.audio[0])[None, None])),
+        ("cnn-unimodal", "visual", cnn["visual"], (None, img),
+         lambda r: cnn["visual"].forward(store.image_map(r.photos[0])[None])),
+    )
+    for kind, modality, model, batch, script in cases:
+        what = f"{kind}/{modality}"
+        conf = evaluate(model, TrainConfig(model=kind, modality=modality),
+                        store, records, pairs)
+        assert conf.total == 4
+        scripted = np.concatenate([script(r).data for r in records])
+        np.testing.assert_array_equal(conf.counts, _scripted_counts(examples, scripted),
+                                      err_msg=what)
+        np.testing.assert_allclose(model.logits(*batch).data, scripted,
+                                   rtol=1e-4, atol=1e-4, err_msg=what)
 
 
 COARSE_CFG = CrossModalConfig(token_dim=8, heads=2, modality_blocks=1,
