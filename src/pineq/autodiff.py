@@ -4,7 +4,7 @@ The training side of this package needs gradients for a fairly small
 set of operations: elementwise arithmetic, rectifier/exp/log, matrix
 products (plain and batched), 2-D convolution, max pooling over disjoint
 windows, softmax and the shape plumbing around them
-(reshape/transpose/concat/narrow/sum).
+(reshape/transpose/concat/narrow/take/sum).
 Rather than pulling in a framework, this module records a computation
 graph while the forward pass runs and replays it backwards.
 
@@ -52,6 +52,7 @@ __all__ = [
     "layer_norm",
     "concat",
     "narrow",
+    "take",
     "grad_check",
     "Adam",
 ]
@@ -530,6 +531,34 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         dx[sl] = g
         return (dx,)
     return _node(out, (x,), vjp, "narrow")
+
+
+def take(x: Tensor, index) -> Tensor:
+    """Rows ``x[index]`` gathered along axis 0; rows may repeat or go unused.
+
+    The gradient of a row taken more than once is the sum of its copies'.
+    """
+    idx = np.asarray(index)
+    if x.data.ndim == 0 or idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ShapeError(f"take needs rows and a vector of integer indices, got "
+                         f"shape {x.data.shape} and {idx!r}")
+    n = x.data.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"take index out of range for {n} rows: {idx.tolist()}")
+    idx = idx.astype(np.intp)
+    out = x.data[idx]
+    shape = x.data.shape
+    repeats = np.unique(idx).size < idx.size
+
+    def vjp(g):
+        dx = np.zeros(shape, dtype=g.dtype)
+        if repeats:
+            np.add.at(dx, idx, g)
+        else:
+            dx[idx] = g
+        return (dx,)
+
+    return _node(out, (x,), vjp, "take")
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -150,8 +151,13 @@ class _Options:
         return lines
 
 
-def _load_corpus_arg(opts: _Options, out: Optional[Path]) -> Corpus:
-    """Resolve --corpus, or --synthetic with its --records/--corpus-seed, into a Corpus."""
+def _corpus_arg(opts: _Options, out: Optional[Path]) -> Callable[[], Corpus]:
+    """Resolve --corpus, or --synthetic with its --records/--corpus-seed, into
+    a loader of the Corpus.
+
+    The flags are read (and echoed) now; nothing is read or written until the
+    loader is called, so a caller can validate its other flags first.
+    """
     corpus_path = opts.get("corpus", None)
     if not opts.get("synthetic", False, _bool):
         del opts.effective["synthetic"]
@@ -160,14 +166,14 @@ def _load_corpus_arg(opts: _Options, out: Optional[Path]) -> Corpus:
         path = Path(corpus_path)
         if path.is_dir():
             path = path / "manifest.txt"
-        return load_corpus(path)
+        return partial(load_corpus, path)
     if corpus_path:
         raise UsageError("--corpus and --synthetic are mutually exclusive")
     if out is None:
         raise UsageError("--synthetic requires --out for the generated corpus")
     cfg = SyntheticConfig(records=opts.get("records", 80, int),
                           seed=opts.get("corpus-seed", 0, int))
-    return generate_synthetic(cfg, out / "corpus")
+    return partial(generate_synthetic, cfg, out / "corpus")
 
 
 def _spec_arg(opts: _Options, grid: bool) -> ExperimentSpec:
@@ -260,7 +266,7 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     opts = _Options(args)
     out = Path(opts.get("out", None) or _usage("--out is required"))
-    corpus = _load_corpus_arg(opts, out)
+    corpus = _corpus_arg(opts, out)()
     out.mkdir(parents=True, exist_ok=True)
     count = 0
     for rec in corpus.records:
@@ -279,7 +285,7 @@ def cmd_preprocess(args) -> int:
 def cmd_split(args) -> int:
     opts = _Options(args)
     out = opts.get("out", None)
-    corpus = _load_corpus_arg(opts, Path(out) if out else None)
+    corpus = _corpus_arg(opts, Path(out) if out else None)()
     seed = opts.get("seed", 0, int)
     train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
     if out:
@@ -301,7 +307,7 @@ def cmd_split(args) -> int:
 def cmd_sample(args) -> int:
     opts = _Options(args)
     out = opts.get("out", None)
-    corpus = _load_corpus_arg(opts, Path(out) if out else None)
+    corpus = _corpus_arg(opts, Path(out) if out else None)()
     strategy = opts.get("strategy", "random")
     if strategy not in STRATEGIES:
         raise UsageError(f"unknown strategy {strategy!r}")
@@ -325,8 +331,9 @@ def cmd_sample(args) -> int:
 def cmd_train(args) -> int:
     opts = _Options(args)
     out = Path(opts.get("out", None) or _usage("--out is required"))
-    corpus = _load_corpus_arg(opts, out)
-    spec = _spec_arg(opts, grid=False)
+    load = _corpus_arg(opts, out)
+    spec = _spec_arg(opts, grid=False)  # a usage error writes no corpus
+    corpus = load()
     cell, result = run_cell(spec, corpus, FeatureStore(corpus), spec.cells()[0])
 
     out.mkdir(parents=True, exist_ok=True)
@@ -350,7 +357,7 @@ def cmd_eval(args) -> int:
         raise UsageError("--model checkpoint path is required")
     model, cfg, meta = load_model(Path(ckpt))  # before corpus resolution
     out = opts.get("out", None)
-    corpus = _load_corpus_arg(opts, Path(out) if out else None)
+    corpus = _corpus_arg(opts, Path(out) if out else None)()
     seed = opts.get("seed", 0, int)
     _, test_recs = stratified_split(list(corpus.records), seed=seed)
     test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
@@ -371,8 +378,9 @@ def cmd_eval(args) -> int:
 def cmd_experiment(args) -> int:
     opts = _Options(args)
     out = Path(opts.get("out", None) or _usage("--out is required"))
-    corpus = _load_corpus_arg(opts, out)
-    spec = _spec_arg(opts, grid=True)
+    load = _corpus_arg(opts, out)
+    spec = _spec_arg(opts, grid=True)  # a usage error writes no corpus
+    corpus = load()
     result = run_experiment(spec, corpus, extra_header=opts.header())
     write_outputs(result, out)
     sys.stdout.write("Mean over seeds:\n"

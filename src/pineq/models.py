@@ -13,8 +13,15 @@ Two families share the same 4-way grading head:
   audio-only and visual-only baselines are run.
 
 Every classifier, :class:`CnnClassifier` too, reads a batch through
-``logits(mel, image)``: stacked Mel maps and images, ``None`` for an
-unread stream, turned into the model's own input view.
+``logits(mel, image, audio_index, visual_index)``: the stacked Mel maps
+and images (``None`` for an unread stream), turned into the model's own
+input view, plus each example's row in each stack.  A batch of pairs
+usually repeats its soundtracks and photos, so the stacks hold each
+media file once: every stage that reads one stream runs on those
+distinct rows, and :func:`~pineq.autodiff.take` gathers them into
+aligned pairs at the first stage that mixes the streams (the fusion
+head, the joint blocks) or, for a single-stream model, at the logits.
+Every entry point's indices default to ``None``: the rows are the pairs.
 
 :class:`MaePretrainer` adds self-supervised pretraining on unlabeled
 pairs: mask most tokens after the per-modality blocks, reconstruct the
@@ -40,6 +47,7 @@ from .autodiff import (
     maxpool2d,
     narrow,
     softmax,
+    take,
 )
 from .nn import LayerNorm, Linear, Module, SelfAttention, TransformerBlock
 
@@ -122,6 +130,20 @@ def _regroup(tokens: np.ndarray, n_tokens: int, patch_dim: int) -> np.ndarray:
     return tokens.reshape(b, n_tokens, patch_dim)
 
 
+def _rows(x: Tensor, index) -> Tensor:
+    """Rows ``index`` of ``x``; ``None`` keeps every row as it is."""
+    return x if index is None else take(x, index)
+
+
+def _paired(a: Tensor, v: Tensor, audio_index, visual_index) -> Tensor:
+    """Per-stream rows gathered into aligned pairs, joined along axis 1."""
+    a, v = _rows(a, audio_index), _rows(v, visual_index)
+    if a.data.shape[0] != v.data.shape[0]:
+        raise ShapeError(f"{a.data.shape[0]} audio rows cannot pair with "
+                         f"{v.data.shape[0]} visual rows")
+    return concat([a, v], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # CNN family
 # ---------------------------------------------------------------------------
@@ -185,17 +207,21 @@ class CnnClassifier(Module):
         self.backbone = CnnBackbone(in_channels, in_hw, embed_dim, rng)
         self.head = MlpHead(embed_dim, head_hidden, classes, rng)
 
-    def forward(self, x: np.ndarray | Tensor) -> Tensor:
-        """(B, C, H, W) feature maps -> (B, classes) logits."""
+    def forward(self, x: np.ndarray | Tensor, index=None) -> Tensor:
+        """(N, C, H, W) feature maps -> (N, classes) logits, or the rows
+        ``index`` of them."""
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-        return self.head(self.backbone(xt))
+        return _rows(self.head(self.backbone(xt)), index)
 
     def predict_proba(self, x: np.ndarray | Tensor) -> Tensor:
         return softmax(self.forward(x), axis=-1)
 
-    def logits(self, mel: np.ndarray | None, image: np.ndarray | None) -> Tensor:
+    def logits(self, mel: np.ndarray | None, image: np.ndarray | None,
+               audio_index=None, visual_index=None) -> Tensor:
         """(B, classes) logits of the one stream given, the other ``None``."""
-        return self.forward(image if mel is None else mel[:, None])
+        if mel is None:
+            return self.forward(image, visual_index)
+        return self.forward(mel[:, None], audio_index)
 
 
 class EnsembleModel(Module):
@@ -209,22 +235,26 @@ class EnsembleModel(Module):
         self.visual_net = CnnBackbone(3, image_hw, embed_dim, rng)
         self.head = MlpHead(2 * embed_dim, head_hidden, classes, rng)
 
-    def forward(self, mel: np.ndarray | Tensor, image: np.ndarray | Tensor) -> Tensor:
-        """``mel``: (B, T, F); ``image``: (B, 3, H, W) -> (B, classes) logits."""
+    def forward(self, mel: np.ndarray | Tensor, image: np.ndarray | Tensor,
+                audio_index=None, visual_index=None) -> Tensor:
+        """``mel``: (Na, T, F); ``image``: (Nv, 3, H, W) -> (B, classes)
+        logits of the pairs (``mel[audio_index[i]]``, ``image[visual_index[i]]``);
+        without indices the rows pair up as they are."""
         mt = mel if isinstance(mel, Tensor) else Tensor(np.asarray(mel, dtype=np.float32))
         it = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float32))
-        b, t, f = mt.data.shape
-        a = self.audio_net(mt.reshape(b, 1, t, f))
+        n, t, f = mt.data.shape
+        a = self.audio_net(mt.reshape(n, 1, t, f))
         v = self.visual_net(it)
-        return self.head(concat([a, v], axis=1))
+        return self.head(_paired(a, v, audio_index, visual_index))
 
     def predict_proba(self, mel, image) -> Tensor:
         """Grade probabilities: softmax over the fused logits."""
         return softmax(self.forward(mel, image), axis=-1)
 
-    def logits(self, mel: np.ndarray, image: np.ndarray) -> Tensor:
+    def logits(self, mel: np.ndarray, image: np.ndarray,
+               audio_index=None, visual_index=None) -> Tensor:
         """(B, classes) logits of both streams, which ``forward`` takes as they are."""
-        return self.forward(mel, image)
+        return self.forward(mel, image, audio_index, visual_index)
 
 
 # ---------------------------------------------------------------------------
@@ -329,30 +359,40 @@ class CrossModalEncoder(Module):
             x = blk(x)
         return self.final_ln(x).mean(axis=1)
 
-    def forward_tokens(self, audio_tok: Tensor, visual_tok: Tensor) -> Tensor:
-        """Fused (B, classes) logits of token batches."""
+    def _fused(self, audio_tok: Tensor, visual_tok: Tensor,
+               audio_index, visual_index) -> Tensor:
+        """Pooled joint representation: each stream encoded once per row of
+        its token batch, then gathered into pairs for the joint blocks."""
         a = self.encode_audio(audio_tok)
         v = self.encode_visual(visual_tok)
-        return self.head(self._pool(concat([a, v], axis=1)))
+        return self._pool(_paired(a, v, audio_index, visual_index))
 
-    def forward(self, audio_tok: Tensor, visual_tok: Tensor) -> Tuple[Tensor, Tensor]:
+    def forward_tokens(self, audio_tok: Tensor, visual_tok: Tensor,
+                       audio_index=None, visual_index=None) -> Tensor:
+        """Fused (B, classes) logits of the pairs (``audio_tok[audio_index[i]]``,
+        ``visual_tok[visual_index[i]]``); without indices the rows pair up."""
+        return self.head(self._fused(audio_tok, visual_tok, audio_index, visual_index))
+
+    def forward(self, audio_tok: Tensor, visual_tok: Tensor,
+                audio_index=None, visual_index=None) -> Tuple[Tensor, Tensor]:
         """(joint representation (B, token_dim), grade probabilities (B, classes))."""
-        a = self.encode_audio(audio_tok)
-        v = self.encode_visual(visual_tok)
-        rep = self._pool(concat([a, v], axis=1))
+        rep = self._fused(audio_tok, visual_tok, audio_index, visual_index)
         return rep, softmax(self.head(rep), axis=-1)
 
-    def unimodal_tokens(self, tok: Tensor, modality: str) -> Tensor:
-        """Single-stream (B, classes) logits through the shared trunk."""
+    def unimodal_tokens(self, tok: Tensor, modality: str, index=None) -> Tensor:
+        """Single-stream (N, classes) logits through the shared trunk, or
+        the rows ``index`` of them."""
         if modality == "audio":
-            return self.head(self._pool(self.encode_audio(tok)))
-        if modality == "visual":
-            return self.head(self._pool(self.encode_visual(tok)))
-        raise ValueError(f"unknown modality {modality!r}")
+            x = self.encode_audio(tok)
+        elif modality == "visual":
+            x = self.encode_visual(tok)
+        else:
+            raise ValueError(f"unknown modality {modality!r}")
+        return _rows(self.head(self._pool(x)), index)
 
-    def unimodal_forward(self, tok: Tensor, modality: str) -> Tensor:
+    def unimodal_forward(self, tok: Tensor, modality: str, index=None) -> Tensor:
         """Single-stream grade probabilities."""
-        return softmax(self.unimodal_tokens(tok, modality), axis=-1)
+        return softmax(self.unimodal_tokens(tok, modality, index), axis=-1)
 
     def patch_tokens(self, mel: np.ndarray | None, image: np.ndarray | None):
         """(B, T, F) Mel maps and (B, 3, H, W) images as the token batches
@@ -366,16 +406,17 @@ class CrossModalEncoder(Module):
                               cfg.visual_tokens, cfg.visual_patch_dim)
         return audio, visual
 
-    def logits(self, mel: np.ndarray | None, image: np.ndarray | None) -> Tensor:
+    def logits(self, mel: np.ndarray | None, image: np.ndarray | None,
+               audio_index=None, visual_index=None) -> Tensor:
         """(B, classes) logits: fused when both streams are given, else
         single-stream through the shared trunk."""
         audio, visual = self.patch_tokens(mel, image)
         del mel, image  # only the token copies stay alive through the forward pass
         if visual is None:
-            return self.unimodal_tokens(Tensor(audio), "audio")
+            return self.unimodal_tokens(Tensor(audio), "audio", audio_index)
         if audio is None:
-            return self.unimodal_tokens(Tensor(visual), "visual")
-        return self.forward_tokens(Tensor(audio), Tensor(visual))
+            return self.unimodal_tokens(Tensor(visual), "visual", visual_index)
+        return self.forward_tokens(Tensor(audio), Tensor(visual), audio_index, visual_index)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 This module connects the preprocessing front ends to the classifiers:
 
 * :class:`FeatureStore` lazily turns each corpus media file into one cached
-  model-ready array: a standardized Mel map or a channel-first image.
+  model-ready array: a standardized Mel map or a channel-first image.  A
+  batch stacks each distinct file once, so models encode every soundtrack
+  and photo of a batch once however many pairs share it.
 * :func:`weighted_smoothed_ce` is the training objective — class-weighted
   cross-entropy against label-smoothed targets.
 * :func:`train` runs seeded mini-batch optimization (optionally preceded by
@@ -62,6 +64,8 @@ class FeatureStore:
     The first access runs the full preprocessing chain and memoizes the
     result by media path, so repeated epochs and repeated experiment cells
     over the same corpus pay the DSP cost once. Tokens are computed per call.
+    Training and evaluation read it through :func:`_stack`, one array per
+    distinct path of a batch.
     """
 
     def __init__(self, corpus: Corpus):
@@ -284,20 +288,35 @@ def trainable_parameters(model: Module, cfg: TrainConfig) -> List[Tensor]:
             if not name.startswith(unread)]
 
 
-def _stack(store: FeatureStore, chunk: Sequence[Example], stream: str) -> np.ndarray:
-    """The cached arrays of one stream of a batch, stacked."""
+def _stack(store: FeatureStore, chunk: Sequence[Example],
+           stream: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The cached arrays of one stream of a batch and each example's row in them.
+
+    Each distinct media path is stacked once, in order of first appearance,
+    so the models run their single-stream stages once per file.
+    """
     if stream == "audio":
-        return np.stack([store.audio_map(r.audio[j]) for r, j, _ in chunk])
-    return np.stack([store.image_map(r.photos[k]) for r, _, k in chunk])
+        metas = [r.audio[j] for r, j, _ in chunk]
+        fetch = store.audio_map
+    else:
+        metas = [r.photos[k] for r, _, k in chunk]
+        fetch = store.image_map
+    distinct = {meta.path: meta for meta in metas}  # keys in first-appearance order
+    row = {path: i for i, path in enumerate(distinct)}
+    return (np.stack([fetch(meta) for meta in distinct.values()]),
+            np.array([row[meta.path] for meta in metas], dtype=np.intp))
 
 
 def _forward(model: Module, cfg: TrainConfig, store: FeatureStore,
              chunk: Sequence[Example]) -> Tensor:
     """Logits for one batch of (record, soundtrack, photo) examples."""
-    read = _streams(cfg)
-    # no local holds the stacks, so the model can drop them once it has its view
-    return model.logits(_stack(store, chunk, "audio") if "audio" in read else None,
-                        _stack(store, chunk, "visual") if "visual" in read else None)
+    stacks, index = {}, {}
+    for stream in _streams(cfg):
+        stacks[stream], index[stream] = _stack(store, chunk, stream)
+    # popped into the call, so no local holds a stack and the model can drop
+    # it once it has its own view
+    return model.logits(stacks.pop("audio", None), stacks.pop("visual", None),
+                        index.get("audio"), index.get("visual"))
 
 
 def _finite_loss(loss: Tensor, step: int, phase: str) -> float:
@@ -323,8 +342,11 @@ def _pretrain(model: CrossModalEncoder, cfg: TrainConfig, store: FeatureStore,
             if len(losses) >= cfg.pretrain_steps:
                 break
             chunk = [examples[i] for i in order[start:start + cfg.batch]]
-            a, v = model.patch_tokens(_stack(store, chunk, "audio"),
-                                      _stack(store, chunk, "visual"))
+            mel, audio_index = _stack(store, chunk, "audio")
+            image, visual_index = _stack(store, chunk, "visual")
+            a, v = model.patch_tokens(mel, image)  # once per distinct file
+            del mel, image  # only token copies stay alive through the step
+            a, v = a[audio_index], v[visual_index]  # the aligned pairs
             mask = pre.sample_mask(mask_rng, len(chunk))
             loss, _ = pre.loss(Tensor(a), Tensor(v), mask)
             value = _finite_loss(loss, len(losses) + 1, "pretraining")

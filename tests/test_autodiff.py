@@ -28,6 +28,7 @@ from pineq.autodiff import (
     maxpool2d,
     narrow,
     softmax,
+    take,
 )
 
 RNG = np.random.default_rng(1234)
@@ -253,6 +254,23 @@ def test_concat_and_narrow_roundtrip():
     assert cat.data.shape == (2, 8)
     back = narrow(cat, axis=1, start=3, length=5)
     np.testing.assert_array_equal(back.data, b.data)
+
+
+@pytest.mark.parametrize("index", [[2, 0, 2, 2], [1, 3], [3, 2, 1, 0]],
+                         ids=["repeated-and-unused", "unused", "permutation"])
+def test_take_gathers_rows_like_fancy_indexing(index):
+    x = t64(4, 3, 2)
+    np.testing.assert_array_equal(take(x, index).data, x.data[index])
+    weights = Tensor(RNG.normal(size=(len(index), 3, 2)))
+    err = grad_check(lambda x: (take(x, index) * weights).sum(), x)
+    assert err < 1e-6, err
+
+
+def test_take_rejects_out_of_range_index():
+    x = t64(3, 2)
+    for bad in ([0, 3], [-1], [[0, 1]], [0.5]):
+        with pytest.raises(ShapeError):
+            take(x, bad)
 
 
 # ---------------------------------------------------------------------------

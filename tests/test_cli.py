@@ -210,6 +210,7 @@ def test_mixed_grid_with_pretraining_is_usage_error(tmp_path, capsys):
     assert rc == 1
     assert "pretraining applies only to crossmodal kinds" in capsys.readouterr().err
     assert not (out / "report.txt").exists()
+    assert not (out / "corpus").exists()  # flags are checked before generation
 
 
 @pytest.mark.parametrize("sidecar, reason", [

@@ -15,6 +15,7 @@ from pineq.corpus import (
 )
 from pineq import training
 from pineq.models import (
+    CnnBackbone,
     CrossModalConfig,
     CrossModalEncoder,
     EnsembleModel,
@@ -341,8 +342,17 @@ def test_evaluate_matches_scripted_loop(small_corpus):
         np.testing.assert_array_equal(conf.counts, _scripted_counts(examples, scripted),
                                       err_msg=kind)
         # the view logits builds from stacked maps feeds the same rows
-        np.testing.assert_allclose(model.logits(mel, img).data, scripted,
+        aligned = model.logits(mel, img).data
+        np.testing.assert_allclose(aligned, scripted,
                                    rtol=1e-4, atol=1e-4, err_msg=kind)
+        # each distinct map once plus row indices gives the aligned logits
+        (mel_once, ai), (img_once, vi) = (training._stack(store, examples, s)
+                                          for s in MODALITIES)
+        assert len(mel_once) < len(examples)  # the grid rows share soundtracks
+        np.testing.assert_array_equal(mel_once[ai], mel)
+        np.testing.assert_array_equal(img_once[vi], img)
+        np.testing.assert_allclose(model.logits(mel_once, img_once, ai, vi).data,
+                                   aligned, rtol=0, atol=1e-5, err_msg=kind)
         assert conf.counts.sum(axis=1)[int(records[0].label)] >= 1
 
 
@@ -371,6 +381,7 @@ def test_evaluate_unimodal_routes_requested_modality(small_corpus):
         ("cnn-unimodal", "visual", cnn["visual"], (None, img),
          lambda r: cnn["visual"].forward(store.image_map(r.photos[0])[None])),
     )
+    repeats = np.array([2, 0, 2, 3, 1, 2])
     for kind, modality, model, batch, script in cases:
         what = f"{kind}/{modality}"
         conf = evaluate(model, TrainConfig(model=kind, modality=modality),
@@ -381,6 +392,69 @@ def test_evaluate_unimodal_routes_requested_modality(small_corpus):
                                       err_msg=what)
         np.testing.assert_allclose(model.logits(*batch).data, scripted,
                                    rtol=1e-4, atol=1e-4, err_msg=what)
+        # rows of the distinct stack picked by index == logits of the aligned stack
+        aligned = [None if b is None else b[repeats] for b in batch]
+        np.testing.assert_allclose(model.logits(*batch, repeats, repeats).data,
+                                   model.logits(*aligned).data,
+                                   rtol=0, atol=1e-5, err_msg=what)
+
+
+def test_evaluate_encodes_each_grid_file_once(small_corpus, monkeypatch):
+    store = FeatureStore(small_corpus)
+    rec = small_corpus.records[0]
+    grid = {rec.record_id: build_test_pairs(rec)}
+    assert len(grid[rec.record_id]) == 16
+    rows = []
+
+    def counting(fn, stream):
+        def wrapped(self, x):
+            rows.append((stream(x), x.data.shape[0]))
+            return fn(self, x)
+        return wrapped
+
+    monkeypatch.setattr(CnnBackbone, "__call__", counting(
+        CnnBackbone.__call__, lambda x: "audio" if x.data.shape[1] == 1 else "visual"))
+    for stream in MODALITIES:
+        name = f"encode_{stream}"
+        monkeypatch.setattr(CrossModalEncoder, name, counting(
+            getattr(CrossModalEncoder, name), lambda x, s=stream: s))
+    for kind, model in (("ensemble", EnsembleModel(np.random.default_rng(35), **SMALL_CNN)),
+                        ("crossmodal", CrossModalEncoder(EVAL_CFG,
+                                                         np.random.default_rng(36)))):
+        rows.clear()
+        conf = evaluate(model, TrainConfig(model=kind), store, [rec], grid)
+        assert conf.total == 16
+        assert sorted(rows) == [("audio", 4), ("visual", 4)], kind
+
+
+@pytest.mark.parametrize("kind", ["ensemble", "crossmodal"])
+def test_repeated_soundtrack_gradients_match_aligned_batch(small_corpus, kind):
+    from pineq.training import build_model
+
+    store = FeatureStore(small_corpus)
+    records = list(small_corpus.records)
+    # soundtrack 0 of record 0 is read three times, photo 1 twice
+    chunk = [(records[0], 0, 0), (records[0], 0, 1), (records[1], 2, 1),
+             (records[0], 0, 3), (records[2], 1, 2)]
+    labels = np.array([int(r.label) for r, _, _ in chunk])
+    cfg = TrainConfig(model=kind)
+    arch = EVAL_CFG if kind == "crossmodal" else SMALL_CNN
+    mel = np.stack([store.audio_map(r.audio[j]) for r, j, _ in chunk])
+    img = np.stack([store.image_map(r.photos[k]) for r, _, k in chunk])
+
+    def grads(logits_of):
+        model = build_model(cfg, np.random.default_rng(37), arch)
+        loss = weighted_smoothed_ce(logits_of(model), labels, (1.0, 2.0, 1.0, 3.0), 0.1)
+        loss.backward()
+        return loss.item(), {n: p.grad for n, p in model.named_parameters().items()}
+
+    loss_once, once = grads(lambda m: training._forward(m, cfg, store, chunk))
+    loss_aligned, aligned = grads(lambda m: m.logits(mel, img))
+    assert abs(loss_once - loss_aligned) <= 1e-5 * abs(loss_aligned)
+    assert list(once) == list(aligned)
+    for name in aligned:
+        np.testing.assert_allclose(once[name], aligned[name], rtol=1e-5, atol=1e-5,
+                                   err_msg=name)
 
 
 COARSE_CFG = CrossModalConfig(token_dim=8, heads=2, modality_blocks=1,
