@@ -548,14 +548,10 @@ def take(x: Tensor, index) -> Tensor:
     idx = idx.astype(np.intp)
     out = x.data[idx]
     shape = x.data.shape
-    repeats = np.unique(idx).size < idx.size
 
     def vjp(g):
         dx = np.zeros(shape, dtype=g.dtype)
-        if repeats:
-            np.add.at(dx, idx, g)
-        else:
-            dx[idx] = g
+        np.add.at(dx, idx, g)
         return (dx,)
 
     return _node(out, (x,), vjp, "take")

@@ -21,7 +21,8 @@ media file once: every stage that reads one stream runs on those
 distinct rows, and :func:`~pineq.autodiff.take` gathers them into
 aligned pairs at the first stage that mixes the streams (the fusion
 head, the joint blocks) or, for a single-stream model, at the logits.
-Every entry point's indices default to ``None``: the rows are the pairs.
+An index of ``None``, the default, means the rows already are the pairs,
+as they are in a stream of a batch that repeats no media file.
 
 :class:`MaePretrainer` adds self-supervised pretraining on unlabeled
 pairs: mask most tokens after the per-modality blocks, reconstruct the
@@ -373,10 +374,9 @@ class CrossModalEncoder(Module):
         ``visual_tok[visual_index[i]]``); without indices the rows pair up."""
         return self.head(self._fused(audio_tok, visual_tok, audio_index, visual_index))
 
-    def forward(self, audio_tok: Tensor, visual_tok: Tensor,
-                audio_index=None, visual_index=None) -> Tuple[Tensor, Tensor]:
+    def forward(self, audio_tok: Tensor, visual_tok: Tensor) -> Tuple[Tensor, Tensor]:
         """(joint representation (B, token_dim), grade probabilities (B, classes))."""
-        rep = self._fused(audio_tok, visual_tok, audio_index, visual_index)
+        rep = self._fused(audio_tok, visual_tok, None, None)
         return rep, softmax(self.head(rep), axis=-1)
 
     def unimodal_tokens(self, tok: Tensor, modality: str, index=None) -> Tensor:
@@ -390,9 +390,9 @@ class CrossModalEncoder(Module):
             raise ValueError(f"unknown modality {modality!r}")
         return _rows(self.head(self._pool(x)), index)
 
-    def unimodal_forward(self, tok: Tensor, modality: str, index=None) -> Tensor:
+    def unimodal_forward(self, tok: Tensor, modality: str) -> Tensor:
         """Single-stream grade probabilities."""
-        return softmax(self.unimodal_tokens(tok, modality, index), axis=-1)
+        return softmax(self.unimodal_tokens(tok, modality), axis=-1)
 
     def patch_tokens(self, mel: np.ndarray | None, image: np.ndarray | None):
         """(B, T, F) Mel maps and (B, 3, H, W) images as the token batches

@@ -289,11 +289,12 @@ def trainable_parameters(model: Module, cfg: TrainConfig) -> List[Tensor]:
 
 
 def _stack(store: FeatureStore, chunk: Sequence[Example],
-           stream: str) -> Tuple[np.ndarray, np.ndarray]:
+           stream: str) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The cached arrays of one stream of a batch and each example's row in them.
 
     Each distinct media path is stacked once, in order of first appearance,
-    so the models run their single-stream stages once per file.
+    so the models run their single-stream stages once per file.  When no
+    path repeats, the rows are the examples and the index is ``None``.
     """
     if stream == "audio":
         metas = [r.audio[j] for r, j, _ in chunk]
@@ -302,9 +303,11 @@ def _stack(store: FeatureStore, chunk: Sequence[Example],
         metas = [r.photos[k] for r, _, k in chunk]
         fetch = store.image_map
     distinct = {meta.path: meta for meta in metas}  # keys in first-appearance order
+    stack = np.stack([fetch(meta) for meta in distinct.values()])
+    if len(distinct) == len(metas):
+        return stack, None
     row = {path: i for i, path in enumerate(distinct)}
-    return (np.stack([fetch(meta) for meta in distinct.values()]),
-            np.array([row[meta.path] for meta in metas], dtype=np.intp))
+    return stack, np.array([row[meta.path] for meta in metas], dtype=np.intp)
 
 
 def _forward(model: Module, cfg: TrainConfig, store: FeatureStore,
@@ -346,7 +349,10 @@ def _pretrain(model: CrossModalEncoder, cfg: TrainConfig, store: FeatureStore,
             image, visual_index = _stack(store, chunk, "visual")
             a, v = model.patch_tokens(mel, image)  # once per distinct file
             del mel, image  # only token copies stay alive through the step
-            a, v = a[audio_index], v[visual_index]  # the aligned pairs
+            if audio_index is not None:  # the aligned pairs
+                a = a[audio_index]
+            if visual_index is not None:
+                v = v[visual_index]
             mask = pre.sample_mask(mask_rng, len(chunk))
             loss, _ = pre.loss(Tensor(a), Tensor(v), mask)
             value = _finite_loss(loss, len(losses) + 1, "pretraining")
