@@ -155,15 +155,15 @@ class Tensor:
     # -- operators ------------------------------------------------------------
 
     def __add__(self, other):
-        return _binary("add", self, _wrap(other), np.add)
+        return _binary("add", self, _wrap(other, self.data.dtype), np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _binary("sub", self, _wrap(other), np.subtract)
+        return _binary("sub", self, _wrap(other, self.data.dtype), np.subtract)
 
     def __rsub__(self, other):
-        return _binary("sub", _wrap(other), self, np.subtract)
+        return _binary("sub", _wrap(other, self.data.dtype), self, np.subtract)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -255,8 +255,14 @@ class Tensor:
         return _node(out, (self,), vjp, "transpose")
 
 
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _wrap(value, dtype=None) -> Tensor:
+    """``value`` as a Tensor; a Python ``int`` or ``float`` takes ``dtype``
+    when given, since a float64 0-d array would upcast a float32 operand."""
+    if isinstance(value, Tensor):
+        return value
+    if dtype is not None and isinstance(value, (int, float)):
+        return Tensor(np.asarray(value, dtype=dtype))
+    return Tensor(value)
 
 
 def _node(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
@@ -337,7 +343,7 @@ def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
         return _scale(a, float(b))
     if kind not in _ELEMENTWISE_BINARY:
         raise ValueError(f"unknown elementwise kind: {kind!r}")
-    b = _wrap(b)
+    b = _wrap(b, a.data.dtype)
     if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
         raise ShapeError(
             f"{kind} needs equal shapes or a scalar, got "

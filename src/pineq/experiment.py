@@ -10,7 +10,10 @@ plain-text report plus CSV (and per-cell loss traces).
 The whole run is a pure function of (spec, corpus): reruns reproduce the
 report byte for byte. Independent cells may run in parallel worker
 processes; the ``PQC_THREADS`` environment variable caps the worker count
-(default 1, i.e. serial).
+(default 1, i.e. serial). Workers are forked, so each one shares the
+caller's feature store, warm entries included, and decodes only the media
+files it does not hold; ``PQC_THREADS`` above 1 therefore needs a platform
+with the ``fork`` start method.
 """
 
 from __future__ import annotations
@@ -139,9 +142,17 @@ def run_cell(spec: ExperimentSpec, corpus: Corpus, store: FeatureStore,
     return outcome, result
 
 
-def _worker(args) -> CellOutcome:
-    spec, corpus, architecture, cell = args
-    return run_cell(spec, corpus, FeatureStore(corpus), cell, architecture)[0]
+_run = None  # (spec, corpus, store, architectures); _share sets it in forked workers only
+
+
+def _share(spec, corpus, store, architectures) -> None:
+    global _run
+    _run = (spec, corpus, store, architectures)
+
+
+def _worker(cell: Tuple[str, str, int, int]) -> CellOutcome:
+    spec, corpus, store, architectures = _run
+    return run_cell(spec, corpus, store, cell, architectures.get(cell[0]))[0]
 
 
 def _worker_count(n_cells: int) -> int:
@@ -150,7 +161,11 @@ def _worker_count(n_cells: int) -> int:
         limit = int(raw)
     except ValueError as exc:
         raise ValueError(f"PQC_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(limit, n_cells))
+    workers = max(1, min(limit, n_cells))
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ValueError(f"PQC_THREADS={raw} needs the fork start method, which this "
+                         "platform lacks; unset PQC_THREADS or set it to 1")
+    return workers
 
 
 @dataclass
@@ -185,14 +200,14 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
     cells = spec.cells()
 
     workers = _worker_count(len(cells))
+    store = store if store is not None else FeatureStore(corpus)
     if workers > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(workers) as pool:
-            outcomes = pool.map(
-                _worker, [(spec, corpus, architectures.get(c[0]), c)
-                          for c in cells])
+        # forked workers inherit the store without a copy; one cell per task
+        # balances cells of unequal cost
+        with multiprocessing.get_context("fork").Pool(
+                workers, _share, (spec, corpus, store, architectures)) as pool:
+            outcomes = pool.map(_worker, cells, chunksize=1)
     else:
-        store = store if store is not None else FeatureStore(corpus)
         outcomes = [run_cell(spec, corpus, store, c, architectures.get(c[0]))[0]
                     for c in cells]
 

@@ -27,7 +27,9 @@ as they are in a stream of a batch that repeats no media file.
 :class:`MaePretrainer` adds self-supervised pretraining on unlabeled
 pairs: mask most tokens after the per-modality blocks, reconstruct the
 raw patches of the masked positions, and pull matched (audio, visual)
-pairs together with a symmetric InfoNCE term.
+pairs together with a symmetric InfoNCE term.  Its loss takes the same
+distinct token stacks and indices, and pairs the rows where the streams
+meet: the joint input, the contrastive rows and the reconstruction targets.
 """
 
 from __future__ import annotations
@@ -502,12 +504,15 @@ class MaePretrainer(Module):
             mask[row, mask_indices(rng, n, self.mask_ratio)] = True
         return mask
 
-    def loss(self, audio_tok: Tensor, visual_tok: Tensor,
-             mask: np.ndarray) -> Tuple[Tensor, Dict[str, float]]:
+    def loss(self, audio_tok: Tensor, visual_tok: Tensor, mask: np.ndarray,
+             audio_index=None, visual_index=None) -> Tuple[Tensor, Dict[str, float]]:
+        """Loss of the pairs (``audio_tok[audio_index[i]]``,
+        ``visual_tok[visual_index[i]]``), one ``mask`` row per pair; without
+        indices the rows pair up.  Each token row is encoded once."""
         enc = self.encoder
         cfg = enc.cfg
         na, nv = cfg.audio_tokens, cfg.visual_tokens
-        batch = audio_tok.data.shape[0]
+        batch = audio_tok.data.shape[0] if audio_index is None else len(audio_index)
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (batch, na + nv):
             raise ShapeError(f"mask must be ({batch}, {na + nv}), got {mask.shape}")
@@ -518,9 +523,10 @@ class MaePretrainer(Module):
 
         a = enc.encode_audio(audio_tok)
         v = enc.encode_visual(visual_tok)
-        align = contrastive_loss(a.mean(axis=1), v.mean(axis=1), self.temperature)
+        align = contrastive_loss(_rows(a.mean(axis=1), audio_index),
+                                 _rows(v.mean(axis=1), visual_index), self.temperature)
 
-        x = concat([a, v], axis=1)
+        x = _paired(a, v, audio_index, visual_index)
         dtype = x.data.dtype
         m = Tensor(mask[..., None].astype(dtype))
         x = x * (1.0 - m) + self.mask_token * m
@@ -532,8 +538,8 @@ class MaePretrainer(Module):
 
         ma = Tensor(mask[:, :na, None].astype(dtype))
         mv = Tensor(mask[:, na:, None].astype(dtype))
-        da = (rec_a - audio_tok) * ma
-        dv = (rec_v - visual_tok) * mv
+        da = (rec_a - _rows(audio_tok, audio_index)) * ma
+        dv = (rec_v - _rows(visual_tok, visual_index)) * mv
         recon = ((da * da).sum() + (dv * dv).sum()) * (1.0 / masked_values)
         total = recon + self.contrastive_weight * align
         parts = {

@@ -349,12 +349,8 @@ def _pretrain(model: CrossModalEncoder, cfg: TrainConfig, store: FeatureStore,
             image, visual_index = _stack(store, chunk, "visual")
             a, v = model.patch_tokens(mel, image)  # once per distinct file
             del mel, image  # only token copies stay alive through the step
-            if audio_index is not None:  # the aligned pairs
-                a = a[audio_index]
-            if visual_index is not None:
-                v = v[visual_index]
             mask = pre.sample_mask(mask_rng, len(chunk))
-            loss, _ = pre.loss(Tensor(a), Tensor(v), mask)
+            loss, _ = pre.loss(Tensor(a), Tensor(v), mask, audio_index, visual_index)
             value = _finite_loss(loss, len(losses) + 1, "pretraining")
             loss.backward()
             opt.step()

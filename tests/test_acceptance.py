@@ -7,7 +7,6 @@ manifest is supplied via the PQC500_MANIFEST environment variable.
 """
 
 import math
-import multiprocessing
 import os
 import time
 from fractions import Fraction
@@ -53,10 +52,7 @@ from pineq.models import (
 )
 from pineq.training import (
     FeatureStore,
-    TrainConfig,
     accuracy,
-    evaluate,
-    train,
     weighted_smoothed_ce,
 )
 from pineq.training import ConfusionMatrix
@@ -396,62 +392,46 @@ def test_criterion_6_loss_checks():
 _C7_ARCH = CrossModalConfig(audio_tokens=128, audio_patch_dim=1024,
                             visual_tokens=49, visual_patch_dim=3072)
 _C7_SEEDS = (0, 1, 2, 3, 4)
-_C7_WORKERS = 2  # one process per core of a 2-core machine
-_c7_store = None  # the warm FeatureStore that each forked worker inherits
-
-
-def _c7_share(store):
-    global _c7_store
-    _c7_store = store
-
-
-def _c7_cell(kind, modality, strategy, seed):
-    store = _c7_store
-    train_recs, test_recs = stratified_split(list(store.corpus.records),
-                                             seed=seed)
-    pairs = sample_corpus_pairs(train_recs, strategy, 8, seed=seed)
-    cfg = TrainConfig(model=kind, modality=modality, epochs=10, batch=16,
-                      seed=seed)
-    result = train(store, train_recs, pairs, cfg, architecture=_C7_ARCH)
-    test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
-    return accuracy(evaluate(result.model, cfg, store, test_recs, test_pairs))
 
 
 @pytest.mark.slow
-def test_criterion_7_directional_reproduction(tmp_path):
+def test_criterion_7_directional_reproduction(tmp_path, monkeypatch):
     started = time.monotonic()
     corpus = generate_synthetic(SyntheticConfig(records=80, seed=0),
                                 tmp_path / "c7")
 
-    cells = {
-        "crossmodal/random": ("crossmodal", "audio", "random"),
-        "crossmodal/audio-major": ("crossmodal", "audio", "audio-major"),
-        "audio-unimodal/random": ("crossmodal-unimodal", "audio", "random"),
-        "visual-unimodal/random": ("crossmodal-unimodal", "visual", "random"),
-    }
-    # Each cell seeds itself, so the cells run in forked worker processes.
-    # The features are decoded once, here, and the workers share them.
+    # The features are decoded once, here; the cells run in two forked
+    # workers (one per core of a 2-core machine) that share this store.
     store = FeatureStore(corpus)
     for rec in corpus.records:
         for meta in rec.audio:
-            store.audio_tokens(meta)
+            store.audio_map(meta)
         for meta in rec.photos:
-            store.image_tokens(meta)
-    jobs = [(*cell, seed) for cell in cells.values() for seed in _C7_SEEDS]
-    with multiprocessing.get_context("fork").Pool(
-            _C7_WORKERS, _c7_share, (store,)) as pool:
-        accs = pool.starmap(_c7_cell, jobs, chunksize=1)
+            store.image_map(meta)
+    monkeypatch.setenv("PQC_THREADS", "2")
+    grids = (
+        (("crossmodal",), ("random", "audio-major")),
+        (("crossmodal-audio", "crossmodal-visual"), ("random",)),
+    )
     means = {}
-    for i, name in enumerate(cells):
-        per_seed = accs[i * len(_C7_SEEDS):(i + 1) * len(_C7_SEEDS)]
-        means[name] = float(np.mean(per_seed))
-        print(f"  {name}: per-seed {['%.3f' % a for a in per_seed]} "
-              f"mean {means[name]:.3f}")
+    for models, strategies in grids:
+        spec = ExperimentSpec(models=models, strategies=strategies,
+                              samples_per_record=(8,), seeds=_C7_SEEDS,
+                              epochs=10, batch=16)
+        result = run_experiment(spec, corpus, store=store,
+                                architectures={m: _C7_ARCH for m in models})
+        for i in range(0, len(result.cells), len(_C7_SEEDS)):
+            group = result.cells[i:i + len(_C7_SEEDS)]  # one model/strategy, by seed
+            name = f"{group[0].model}/{group[0].strategy}"
+            per_seed = [c.accuracy for c in group]
+            means[name] = float(np.mean(per_seed))
+            print(f"  {name}: per-seed {['%.3f' % a for a in per_seed]} "
+                  f"mean {means[name]:.3f}")
 
     elapsed = time.monotonic() - started
     fused = means["crossmodal/random"]
-    audio_uni = means["audio-unimodal/random"]
-    visual_uni = means["visual-unimodal/random"]
+    audio_uni = means["crossmodal-audio/random"]
+    visual_uni = means["crossmodal-visual/random"]
     major = means["crossmodal/audio-major"]
     assert fused >= audio_uni >= visual_uni, means
     assert all(m >= 0.40 for m in means.values()), means

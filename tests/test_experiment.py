@@ -1,5 +1,7 @@
 """Experiment-matrix orchestration tests on a tiny synthetic corpus."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,32 @@ def test_parallel_workers_match_serial(corpus, store, monkeypatch):
     parallel = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN})
     assert parallel.report_text() == serial.report_text()
     assert parallel.csv_text() == serial.csv_text()
+
+
+def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatch):
+    corpus = generate_synthetic(
+        SyntheticConfig(records=8, seed=19, audio_seconds=0.25, image_width=32,
+                        image_height=24), tmp_path / "corpus")
+    warm = FeatureStore(corpus)
+    for rec in corpus.records:
+        for meta in rec.audio:
+            warm.audio_map(meta)
+        for meta in rec.photos:
+            warm.image_map(meta)
+    # with the media gone, any decode fails; the warm store needs none
+    for name in ("audio", "photos"):
+        (tmp_path / "corpus" / name).rename(tmp_path / f"gone_{name}")
+    spec = cnn_spec(seeds=(0, 1))
+    serial = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=warm)
+    monkeypatch.setenv("PQC_THREADS", "2")
+    parallel = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=warm)
+    assert parallel.report_text() == serial.report_text()
+    assert parallel.csv_text() == serial.csv_text()
+
+
+def test_workers_without_fork_are_a_named_error(corpus, store, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setenv("PQC_THREADS", "2")
+    with pytest.raises(ValueError, match="PQC_THREADS"):
+        run_experiment(cnn_spec(seeds=(0, 1)), corpus,
+                       architectures={"cnn": TINY_CNN}, store=store)

@@ -526,3 +526,66 @@ def test_mae_gradcheck():
         return loss
 
     assert grad_check(f, [Tensor(a), Tensor(v)]) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# dtype: float32 from input to gradient
+# ---------------------------------------------------------------------------
+
+# 32x32 maps give four 16x16 patches per stream
+TAPE_CFG = CrossModalConfig(token_dim=8, heads=2, modality_blocks=1,
+                            joint_blocks=1, mlp_ratio=2, head_hidden=6,
+                            audio_tokens=4, audio_patch_dim=256,
+                            visual_tokens=4, visual_patch_dim=768)
+
+
+def _tape(root):
+    """Every node of the graph that ends in ``root``."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("kind", ["cnn-audio", "cnn-visual", "ensemble", "crossmodal",
+                                  "crossmodal-audio", "crossmodal-visual", "pretraining"])
+def test_float32_forward_and_backward_record_no_float64_node(kind):
+    from pineq.training import weighted_smoothed_ce
+
+    rng = np.random.default_rng(60)
+    data = np.random.default_rng(61)
+    mel = data.normal(size=(3, 32, 32)).astype(np.float32)
+    img = data.normal(size=(3, 3, 32, 32)).astype(np.float32)
+    ai, vi = np.array([0, 1, 0, 2]), np.array([1, 0, 2, 2])  # repeats take rows
+    labels = np.array([0, 1, 2, 3])
+    if kind == "pretraining":
+        enc = CrossModalEncoder(TAPE_CFG, rng)
+        pre = MaePretrainer(enc, rng)
+        a, v = enc.patch_tokens(mel, img)
+        loss, _ = pre.loss(Tensor(a), Tensor(v), pre.sample_mask(rng, 4), ai, vi)
+    else:
+        if kind == "cnn-audio":
+            model, img = CnnClassifier(rng, 1, (32, 32), 8, 6), None
+        elif kind == "cnn-visual":
+            model, mel = CnnClassifier(rng, 3, (32, 32), 8, 6), None
+        elif kind == "ensemble":
+            model = EnsembleModel(rng, (32, 32), (32, 32), embed_dim=8, head_hidden=6)
+        else:
+            model = CrossModalEncoder(TAPE_CFG, rng)
+            if kind == "crossmodal-audio":
+                img = None
+            elif kind == "crossmodal-visual":
+                mel = None
+        # a single-stream model reads only its own stream's index
+        loss = weighted_smoothed_ce(model.logits(mel, img, ai, vi), labels,
+                                    (1.0, 2.0, 1.0, 3.0), 0.1)
+    loss.backward()
+    nodes = _tape(loss)
+    assert any(n.op == "take" for n in nodes)
+    wide = sorted({n.op for n in nodes if n.data.dtype != np.float32
+                   or (n.grad is not None and n.grad.dtype != np.float32)})
+    assert not wide, f"{kind}: float32 input recorded non-float32 {wide} nodes"

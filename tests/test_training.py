@@ -19,6 +19,7 @@ from pineq.models import (
     CrossModalConfig,
     CrossModalEncoder,
     EnsembleModel,
+    MaePretrainer,
     patchify_audio,
     patchify_image,
 )
@@ -428,29 +429,48 @@ def test_evaluate_encodes_each_grid_file_once(small_corpus, monkeypatch):
         assert sorted(rows) == [("audio", 4), ("visual", 4)], kind
 
 
-@pytest.mark.parametrize("kind", ["ensemble", "crossmodal"])
+@pytest.mark.parametrize("kind", ["ensemble", "crossmodal", "pretraining"])
 def test_repeated_soundtrack_gradients_match_aligned_batch(small_corpus, kind):
     from pineq.training import build_model
 
     store = FeatureStore(small_corpus)
     records = list(small_corpus.records)
-    # soundtrack 0 of record 0 is read three times, photo 1 twice
+    # soundtrack 0 of record 0 is read three times; no photo repeats
     chunk = [(records[0], 0, 0), (records[0], 0, 1), (records[1], 2, 1),
              (records[0], 0, 3), (records[2], 1, 2)]
     labels = np.array([int(r.label) for r, _, _ in chunk])
-    cfg = TrainConfig(model=kind)
-    arch = EVAL_CFG if kind == "crossmodal" else SMALL_CNN
+    cfg = TrainConfig(model="ensemble" if kind == "ensemble" else "crossmodal")
+    arch = SMALL_CNN if kind == "ensemble" else EVAL_CFG
     mel = np.stack([store.audio_map(r.audio[j]) for r, j, _ in chunk])
     img = np.stack([store.image_map(r.photos[k]) for r, _, k in chunk])
+    # pretraining: the MAE loss of distinct token stacks plus indices, as
+    # training._pretrain computes it, against the aligned pairs
+    mask = np.random.default_rng(39).random((len(chunk), 512 + 196)) < 0.75
+    (mel_once, ai), (img_once, vi) = (training._stack(store, chunk, s) for s in MODALITIES)
 
-    def grads(logits_of):
+    def mae(pre, maps, images, *index):
+        a, v = pre.encoder.patch_tokens(maps, images)
+        return pre.loss(Tensor(a), Tensor(v), mask, *index)[0]
+
+    def grads(loss_of):
         model = build_model(cfg, np.random.default_rng(37), arch)
-        loss = weighted_smoothed_ce(logits_of(model), labels, (1.0, 2.0, 1.0, 3.0), 0.1)
+        if kind == "pretraining":
+            model = MaePretrainer(model, np.random.default_rng(38))
+        loss = loss_of(model)
         loss.backward()
-        return loss.item(), {n: p.grad for n, p in model.named_parameters().items()}
+        return loss.item(), {n: p.grad for n, p in model.named_parameters().items()
+                             if p.grad is not None}
 
-    loss_once, once = grads(lambda m: training._forward(m, cfg, store, chunk))
-    loss_aligned, aligned = grads(lambda m: m.logits(mel, img))
+    def ce(logits):
+        return weighted_smoothed_ce(logits, labels, (1.0, 2.0, 1.0, 3.0), 0.1)
+
+    if kind == "pretraining":
+        assert ai is not None and vi is None
+        loss_once, once = grads(lambda pre: mae(pre, mel_once, img_once, ai, vi))
+        loss_aligned, aligned = grads(lambda pre: mae(pre, mel, img))
+    else:
+        loss_once, once = grads(lambda m: ce(training._forward(m, cfg, store, chunk)))
+        loss_aligned, aligned = grads(lambda m: ce(m.logits(mel, img)))
     assert abs(loss_once - loss_aligned) <= 1e-5 * abs(loss_aligned)
     assert list(once) == list(aligned)
     for name in aligned:
