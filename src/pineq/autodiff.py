@@ -23,6 +23,10 @@ Design notes
   :func:`elementwise` dispatcher enforces the stricter equal-shape /
   scalar-only rule and is what external callers should use if they want
   that contract checked.
+* Inside :func:`no_grad` no graph is recorded: each result is a constant,
+  so an intermediate array is freed as soon as the next operation has
+  read it.  Forward-only passes (evaluation) use it; their peak memory is
+  then one layer's arrays rather than the whole graph's.
 * ``grad_check`` compares analytic gradients against central finite
   differences in float64 and refuses points where a rectifier input is
   exactly zero (the derivative is undefined there, so the check would
@@ -32,6 +36,7 @@ Design notes
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -54,6 +59,7 @@ __all__ = [
     "narrow",
     "take",
     "grad_check",
+    "no_grad",
     "Adam",
 ]
 
@@ -265,8 +271,23 @@ def _wrap(value, dtype=None) -> Tensor:
     return Tensor(value)
 
 
+_recording = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph in the block: results of operations need no gradient
+    and keep no parents, whatever their inputs."""
+    global _recording
+    before, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = before
+
+
 def _node(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
-    rg = any(p.requires_grad for p in parents)
+    rg = _recording and any(p.requires_grad for p in parents)
     return Tensor(data, rg, op=op, _parents=parents if rg else (),
                   _vjp=vjp if rg else None)
 

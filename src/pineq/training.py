@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .audio import MEL_BANDS, MEL_FRAMES, preprocess_audio
-from .autodiff import Adam, Tensor, log_softmax
+from .autodiff import Adam, Tensor, log_softmax, no_grad
 from .corpus import Corpus, MediaMeta, PineappleRecord
 from .image import TARGET_SIZE, preprocess_image
 from .models import (
@@ -421,7 +421,8 @@ def evaluate(model: Module, cfg: TrainConfig, store: FeatureStore,
     counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for start in range(0, len(examples), batch):
         chunk = examples[start:start + batch]
-        logits = _forward(model, cfg, store, chunk).data
+        with no_grad():  # forward only: no graph holds the intermediates
+            logits = _forward(model, cfg, store, chunk).data
         preds = np.argmax(logits, axis=1)
         for (rec, _, _), pred in zip(chunk, preds):
             counts[int(rec.label), int(pred)] += 1

@@ -299,6 +299,20 @@ def test_unused_branch_gets_no_gradient():
     assert y.grad is None
 
 
+def test_no_grad_records_no_graph_and_keeps_values():
+    x, w = t64(4, 3), t64(3, 2)
+    expected = softmax(matmul(x, w) * 2.0, axis=1)
+    with ad.no_grad():
+        out = softmax(matmul(x, w) * 2.0, axis=1)
+    assert not out.requires_grad and out._parents == () and out._vjp is None
+    np.testing.assert_array_equal(out.data, expected.data)
+    # recording resumes after the block, also after an exception inside it
+    with pytest.raises(ShapeError):
+        with ad.no_grad():
+            matmul(x, x)
+    assert matmul(x, w).requires_grad
+
+
 def test_broadcast_add_gradient_sums_over_batch():
     x = t64(4, 3)
     bias = t64(3)
