@@ -529,15 +529,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not ts:
         raise ShapeError("concat of empty sequence")
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    cuts = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
     def vjp(g):
-        sl = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(sizes)):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
+        return tuple(np.split(g, cuts, axis=axis))
     return _node(out, tuple(ts), vjp, "concat")
 
 
@@ -659,13 +653,13 @@ class Adam:
     all gradients.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9    # first-moment decay
+    beta2 = 0.999  # second-moment decay
+    eps = 1e-8     # keeps the update finite where the second moment is 0
+
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]

@@ -75,18 +75,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+# casts for _Options.get, which reports their ValueError as a usage error
 def _csv_strs(text: str) -> List[str]:
     items = [t.strip() for t in str(text).split(",") if t.strip()]
     if not items:
-        raise UsageError(f"expected a comma-separated list, got {text!r}")
+        raise ValueError("empty list")
     return items
 
 
 def _csv_ints(text: str) -> List[int]:
-    try:
-        return [int(t) for t in _csv_strs(text)]
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+    return [int(t) for t in _csv_strs(text)]
 
 
 def _bool(text) -> bool:
@@ -97,7 +95,7 @@ def _bool(text) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"expected a boolean, got {text!r}")
+    raise ValueError("not a boolean")
 
 
 def read_config(path: str) -> Dict[str, str]:
@@ -171,9 +169,17 @@ def _corpus_arg(opts: _Options, out: Optional[Path]) -> Callable[[], Corpus]:
         raise UsageError("--corpus and --synthetic are mutually exclusive")
     if out is None:
         raise UsageError("--synthetic requires --out for the generated corpus")
-    cfg = SyntheticConfig(records=opts.get("records", 80, int),
-                          seed=opts.get("corpus-seed", 0, int))
+    cfg = _config(SyntheticConfig, records=opts.get("records", 80, int),
+                  seed=opts.get("corpus-seed", 0, int))
     return partial(generate_synthetic, cfg, out / "corpus")
+
+
+def _config(cls, **values):
+    """Build a config dataclass; its ValueError is a usage error."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _spec_arg(opts: _Options, grid: bool) -> ExperimentSpec:
@@ -186,21 +192,19 @@ def _spec_arg(opts: _Options, grid: bool) -> ExperimentSpec:
         strs, ints = _csv_strs, _csv_ints
     else:
         strs, ints = (lambda t: [t]), (lambda t: [int(t)])
-    try:
-        return ExperimentSpec(
-            models=tuple(opts.get("model", "crossmodal", strs)),
-            strategies=tuple(opts.get("strategy", "random", strs)),
-            samples_per_record=tuple(opts.get("samples-per-record", "8", ints)),
-            seeds=tuple(opts.get("seed", "0", ints)),
-            epochs=opts.get("epochs", 10, int),
-            batch=opts.get("batch", 16, int),
-            lr=opts.get("lr", 1e-3, float),
-            smoothing=opts.get("smoothing", 0.1, float),
-            pretrain_steps=opts.get("pretrain-steps", 0, int),
-            modality=opts.get("modality", "audio"),
-        )
-    except ValueError as exc:  # bad names and hyper-parameters are usage errors
-        raise UsageError(str(exc)) from exc
+    return _config(
+        ExperimentSpec,
+        models=tuple(opts.get("model", "crossmodal", strs)),
+        strategies=tuple(opts.get("strategy", "random", strs)),
+        samples_per_record=tuple(opts.get("samples-per-record", "8", ints)),
+        seeds=tuple(opts.get("seed", "0", ints)),
+        epochs=opts.get("epochs", 10, int),
+        batch=opts.get("batch", 16, int),
+        lr=opts.get("lr", 1e-3, float),
+        smoothing=opts.get("smoothing", 0.1, float),
+        pretrain_steps=opts.get("pretrain-steps", 0, int),
+        modality=opts.get("modality", "audio"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +250,8 @@ def load_model(ckpt_path: Path):
 def cmd_synth(args) -> int:
     opts = _Options(args)
     out = Path(opts.get("out", None) or _usage("--out is required"))
-    cfg = SyntheticConfig(
+    cfg = _config(
+        SyntheticConfig,
         records=opts.get("records", 80, int),
         seed=opts.get("seed", 0, int),
         audio_seconds=opts.get("audio-seconds", 1.0, float),
@@ -285,8 +290,9 @@ def cmd_preprocess(args) -> int:
 def cmd_split(args) -> int:
     opts = _Options(args)
     out = opts.get("out", None)
-    corpus = _corpus_arg(opts, Path(out) if out else None)()
+    load = _corpus_arg(opts, Path(out) if out else None)
     seed = opts.get("seed", 0, int)
+    corpus = load()
     train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
     if out:
         out_dir = Path(out)
@@ -307,12 +313,13 @@ def cmd_split(args) -> int:
 def cmd_sample(args) -> int:
     opts = _Options(args)
     out = opts.get("out", None)
-    corpus = _corpus_arg(opts, Path(out) if out else None)()
+    load = _corpus_arg(opts, Path(out) if out else None)
     strategy = opts.get("strategy", "random")
     if strategy not in STRATEGIES:
         raise UsageError(f"unknown strategy {strategy!r}")
     samples = opts.get("samples-per-record", 8, int)
     seed = opts.get("seed", 0, int)
+    corpus = load()
     pairs = sample_corpus_pairs(list(corpus.records), strategy, samples, seed=seed)
     lines = [f"{rec.record_id},{j},{k}"
              for rec in corpus.records for j, k in pairs[rec.record_id]]
@@ -357,8 +364,9 @@ def cmd_eval(args) -> int:
         raise UsageError("--model checkpoint path is required")
     model, cfg, meta = load_model(Path(ckpt))  # before corpus resolution
     out = opts.get("out", None)
-    corpus = _corpus_arg(opts, Path(out) if out else None)()
+    load = _corpus_arg(opts, Path(out) if out else None)
     seed = opts.get("seed", 0, int)
+    corpus = load()
     _, test_recs = stratified_split(list(corpus.records), seed=seed)
     test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
     store = FeatureStore(corpus)
@@ -403,24 +411,18 @@ def _add_common(p: _Parser, *names: str) -> None:
         "corpus": dict(help="corpus directory or manifest path"),
         "synthetic": dict(action="store_true",
                           help="generate a synthetic corpus under --out"),
-        "records": dict(type=int, help="synthetic corpus size"),
-        "corpus-seed": dict(type=int, help="synthetic corpus seed"),
+        "records": dict(help="synthetic corpus size"),
+        "corpus-seed": dict(help="synthetic corpus seed"),
         "seed": dict(help="seed (comma-separated list for experiment)"),
         "model": dict(help="model name or checkpoint path for eval"),
         "strategy": dict(help="pair sampling strategy"),
         "samples-per-record": dict(help="pairs sampled per record"),
-        "epochs": dict(type=int), "batch": dict(type=int),
-        "lr": dict(type=float), "smoothing": dict(type=float),
-        "pretrain-steps": dict(type=int),
         "modality": dict(help="modality for cnn models (audio|visual)"),
-        "audio-seconds": dict(type=float), "image-width": dict(type=int),
-        "image-height": dict(type=int), "audio-separability": dict(type=float),
-        "visual-separability": dict(type=float), "noise": dict(type=float),
         "out": dict(help="output directory"),
         "config": dict(help="key=value config file (flags take precedence)"),
     }
-    for name in names:
-        p.add_argument(f"--{name}", default=None, **specs[name])
+    for name in names:  # values stay strings; _Options.get casts and checks them
+        p.add_argument(f"--{name}", default=None, **specs.get(name, {}))
 
 
 def build_parser() -> _Parser:

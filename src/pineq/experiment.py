@@ -5,7 +5,9 @@ splits the corpus 4:1 stratified by grade, samples training pairs with the
 requested strategy, builds the fixed evaluation pairs for the held-out
 records, trains from scratch, and scores a confusion matrix. Per-seed rows
 are then averaged into aggregate rows, and everything is rendered as a
-plain-text report plus CSV (and per-cell loss traces).
+plain-text report plus CSV (and per-cell loss traces). Every cell is
+drawn before the first one trains, so a grid that the sampler cannot draw
+raises its ``InfeasibleSampleError`` before any cell trains.
 
 The whole run is a pure function of (spec, corpus): reruns reproduce the
 report byte for byte. Independent cells may run in parallel worker
@@ -28,7 +30,6 @@ import numpy as np
 
 from .corpus import (
     Corpus,
-    InfeasibleSampleError,
     build_test_pairs,
     sample_corpus_pairs,
     stratified_split,
@@ -85,8 +86,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown {name}: {unknown}")
         if not self.samples_per_record or any(s < 1 for s in self.samples_per_record):
             raise ValueError("samples_per_record must be non-empty positive ints")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        if not self.seeds or any(s < 0 for s in self.seeds):
+            raise ValueError("seeds must be non-empty non-negative ints")
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
         # every model's cells must be valid training runs, checked up front
@@ -120,18 +121,25 @@ class CellOutcome:
     test_ids: Tuple[str, ...]
 
 
+def _draw(corpus: Corpus, cell: Tuple[str, str, int, int]):
+    """Split the corpus, sample the training pairs and build the test grid."""
+    _, strategy, samples, seed = cell
+    train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
+    pairs = sample_corpus_pairs(train_recs, strategy, samples, seed=seed)
+    test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
+    return train_recs, test_recs, pairs, test_pairs
+
+
 def run_cell(spec: ExperimentSpec, corpus: Corpus, store: FeatureStore,
              cell: Tuple[str, str, int, int],
              architecture=None) -> Tuple[CellOutcome, TrainResult]:
     """Split, sample, train and score one grid cell; also return the fit."""
     model_name, strategy, samples, seed = cell
-    train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
+    train_recs, test_recs, pairs, test_pairs = _draw(corpus, cell)
     train_ids = tuple(r.record_id for r in train_recs)
     test_ids = tuple(r.record_id for r in test_recs)
     assert set(train_ids).isdisjoint(test_ids), "train/test records overlap"
 
-    pairs = sample_corpus_pairs(train_recs, strategy, samples, seed=seed)
-    test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
     cfg = spec.cell_config(model_name, seed)
     result = train(store, train_recs, pairs, cfg, architecture=architecture)
     confusion = evaluate(result.model, cfg, store, test_recs, test_pairs)
@@ -191,13 +199,10 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
                    store: Optional[FeatureStore] = None,
                    extra_header: Sequence[str] = ()) -> ExperimentResult:
     """Execute every grid cell and assemble deterministic report rows."""
-    capacity = corpus.soundtracks_per_record * corpus.photos_per_record
-    for s in spec.samples_per_record:
-        if s > capacity:
-            raise InfeasibleSampleError(
-                f"samples-per-record {s} exceeds the {capacity} pairs a record offers")
     architectures = dict(architectures or {})
     cells = spec.cells()
+    for cell in cells:  # a cell that cannot be drawn fails before any trains
+        _draw(corpus, cell)
 
     workers = _worker_count(len(cells))
     store = store if store is not None else FeatureStore(corpus)

@@ -134,11 +134,6 @@ def weighted_smoothed_ce(logits: Tensor, labels: np.ndarray,
     return (lp * Tensor(coeff.astype(lp.data.dtype))).sum()
 
 
-def batch_weight_sum(labels: np.ndarray, weights: Sequence[float]) -> float:
-    """Sum of the class weights occurring in ``labels`` (loss denominator)."""
-    return float(np.asarray(weights, dtype=np.float64)[np.asarray(labels)].sum())
-
-
 # ---------------------------------------------------------------------------
 # confusion matrix + accuracy
 # ---------------------------------------------------------------------------
@@ -403,7 +398,7 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
             value = _finite_loss(loss, step, "training")
             loss.backward()
             opt.step()
-            wsum = batch_weight_sum(labels[idx], weights)
+            wsum = float(np.asarray(weights, dtype=np.float64)[labels[idx]].sum())
             num += value * wsum
             den += wsum
         epoch_losses.append(num / den)

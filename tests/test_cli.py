@@ -202,6 +202,32 @@ def test_usage_errors(corpus_dir, tmp_path, capsys):
         assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--noise", "2"],
+    ["train", "--synthetic", "--records", "0"],
+    ["split", "--synthetic", "--records", "4", "--seed", "abc"],
+    ["sample", "--synthetic", "--records", "4", "--samples-per-record", "x"],
+    ["experiment", "--synthetic", "--records", "4", "--seed", "-1"],
+], ids=["synth-noise", "synthetic-records", "split-seed", "sample-samples",
+        "experiment-negative-seed"])
+def test_bad_value_is_usage_error_that_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_value_gives_one_message_from_flag_or_config(corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epochs = abc\n")
+    base = ["experiment", "--corpus", str(corpus_dir), "--out", str(tmp_path / "x")]
+    assert main(base + ["--epochs", "abc"]) == 1
+    from_flag = capsys.readouterr().err
+    assert main(base + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == from_flag == "invalid value for --epochs: 'abc'\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_mixed_grid_with_pretraining_is_usage_error(tmp_path, capsys):
     out = tmp_path / "grid"
     rc = main(["experiment", "--synthetic", "--records", "8",

@@ -7,6 +7,7 @@ import pytest
 
 from pineq.corpus import InfeasibleSampleError, SyntheticConfig, generate_synthetic
 from pineq.models import CrossModalConfig
+from pineq import experiment
 from pineq.experiment import ExperimentSpec, run_experiment, write_outputs
 from pineq.training import FeatureStore
 
@@ -47,6 +48,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         cnn_spec(seeds=())
     with pytest.raises(ValueError):
+        cnn_spec(seeds=(0, -1))
+    with pytest.raises(ValueError):
         cnn_spec(smoothing=1.5)
     with pytest.raises(ValueError):
         cnn_spec(modality="haptic")
@@ -66,6 +69,22 @@ def test_infeasible_samples_rejected_before_training(corpus, store):
     spec = cnn_spec(samples_per_record=(400,))  # J*K = 320
     with pytest.raises(InfeasibleSampleError):
         run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=store)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_infeasible_cell_fails_before_any_cell_trains(corpus, store, monkeypatch,
+                                                      tmp_path, threads):
+    # random can draw 200 of a record's 320 pairs; audio-major only 8 x 16 = 128
+    def spy(*args, **kwargs):  # a file, so that forked workers report too
+        (tmp_path / "trained").touch()
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(experiment, "train", spy)
+    monkeypatch.setenv("PQC_THREADS", threads)
+    spec = cnn_spec(strategies=("random", "audio-major"), samples_per_record=(200,))
+    with pytest.raises(InfeasibleSampleError, match="pool of 8 views"):
+        run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=store)
+    assert not (tmp_path / "trained").exists()
 
 
 def test_cartesian_rows_ordering_and_disjointness(corpus, store):
