@@ -44,6 +44,7 @@ from .corpus import (
 from .experiment import (
     STRATEGIES,
     ExperimentSpec,
+    draw_cell,
     run_cell,
     run_experiment,
     write_outputs,
@@ -124,7 +125,7 @@ class _Options:
         self.config = read_config(args.config) if getattr(args, "config", None) else {}
         self.effective: Dict[str, str] = {}
 
-    def get(self, name: str, default, cast=None):
+    def get(self, name: str, default, cast=None, valid=None):
         value = getattr(self.args, name.replace("-", "_"), None)
         if value is None and name in self.config:
             value = self.config[name]
@@ -133,10 +134,19 @@ class _Options:
         if value is not None and cast is not None:
             try:
                 value = cast(value)
+                if valid is not None and not valid(value):
+                    raise ValueError(value)
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"invalid value for --{name}: {value!r}") from exc
         self.effective[name] = value
         return value
+
+    def out(self, required: bool) -> Optional[Path]:
+        """The --out directory; a usage error if ``required`` and not given."""
+        value = self.get("out", None)
+        if not value and required:
+            raise UsageError("--out is required")
+        return Path(value) if value else None
 
     def header(self) -> List[str]:
         lines = []
@@ -242,14 +252,19 @@ def load_model(ckpt_path: Path):
     return model, cfg, meta
 
 
+def _write(out: Path, name: str, text: str) -> None:
+    """Write one text output under ``out``, creating the directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    opts = _Options(args)
-    out = Path(opts.get("out", None) or _usage("--out is required"))
+def cmd_synth(opts: _Options) -> int:
+    out = opts.out(required=True)
     cfg = _config(
         SyntheticConfig,
         records=opts.get("records", 80, int),
@@ -268,9 +283,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
-    opts = _Options(args)
-    out = Path(opts.get("out", None) or _usage("--out is required"))
+def cmd_preprocess(opts: _Options) -> int:
+    out = opts.out(required=True)
     corpus = _corpus_arg(opts, out)()
     out.mkdir(parents=True, exist_ok=True)
     count = 0
@@ -287,21 +301,16 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_split(args) -> int:
-    opts = _Options(args)
-    out = opts.get("out", None)
-    load = _corpus_arg(opts, Path(out) if out else None)
-    seed = opts.get("seed", 0, int)
+def cmd_split(opts: _Options) -> int:
+    out = opts.out(required=False)
+    load = _corpus_arg(opts, out)
+    seed = opts.get("seed", 0, int, lambda s: s >= 0)
     corpus = load()
     train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "train.txt").write_text(
-            "".join(f"{r.record_id}\n" for r in train_recs))
-        (out_dir / "test.txt").write_text(
-            "".join(f"{r.record_id}\n" for r in test_recs))
-        print(f"wrote {len(train_recs)} train / {len(test_recs)} test ids to {out_dir}")
+        _write(out, "train.txt", "".join(f"{r.record_id}\n" for r in train_recs))
+        _write(out, "test.txt", "".join(f"{r.record_id}\n" for r in test_recs))
+        print(f"wrote {len(train_recs)} train / {len(test_recs)} test ids to {out}")
     else:
         for r in train_recs:
             print(f"train {r.record_id}")
@@ -310,62 +319,55 @@ def cmd_split(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    opts = _Options(args)
-    out = opts.get("out", None)
-    load = _corpus_arg(opts, Path(out) if out else None)
-    strategy = opts.get("strategy", "random")
-    if strategy not in STRATEGIES:
-        raise UsageError(f"unknown strategy {strategy!r}")
-    samples = opts.get("samples-per-record", 8, int)
-    seed = opts.get("seed", 0, int)
+def cmd_sample(opts: _Options) -> int:
+    out = opts.out(required=False)
+    load = _corpus_arg(opts, out)
+    strategy = opts.get("strategy", "random", str, STRATEGIES.__contains__)
+    samples = opts.get("samples-per-record", 8, int, lambda s: s >= 1)
+    seed = opts.get("seed", 0, int, lambda s: s >= 0)
     corpus = load()
     pairs = sample_corpus_pairs(list(corpus.records), strategy, samples, seed=seed)
     lines = [f"{rec.record_id},{j},{k}"
              for rec in corpus.records for j, k in pairs[rec.record_id]]
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "pairs.csv").write_text(
-            "record,soundtrack,photo\n" + "".join(f"{l}\n" for l in lines))
-        print(f"wrote {len(lines)} pairs to {out_dir / 'pairs.csv'}")
+        _write(out, "pairs.csv",
+               "record,soundtrack,photo\n" + "".join(f"{l}\n" for l in lines))
+        print(f"wrote {len(lines)} pairs to {out / 'pairs.csv'}")
     else:
         for line in lines:
             print(line)
     return 0
 
 
-def cmd_train(args) -> int:
-    opts = _Options(args)
-    out = Path(opts.get("out", None) or _usage("--out is required"))
+def cmd_train(opts: _Options) -> int:
+    out = opts.out(required=True)
     load = _corpus_arg(opts, out)
     spec = _spec_arg(opts, grid=False)  # a usage error writes no corpus
     corpus = load()
-    cell, result = run_cell(spec, corpus, FeatureStore(corpus), spec.cells()[0])
+    (key,) = spec.cells()
+    cell, result = run_cell(spec, FeatureStore(corpus), key, draw_cell(corpus, key))
 
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(out, result.model, cell.model, result.config, result.architecture)
     row = ReportRow(cell.model, cell.strategy, cell.samples_total, cell.accuracy,
                     cell.seed)
     report = format_report([row], matrices=[(f"{cell.model}/{cell.strategy}",
                                              cell.confusion)],
                            header=opts.header())
-    (out / "report.txt").write_text(report)
-    (out / "loss.csv").write_text(format_loss_trace(result.losses))
+    _write(out, "report.txt", report)
+    _write(out, "loss.csv", format_loss_trace(result.losses))
+    save_model(out, result.model, cell.model, result.config, result.architecture)
     print(f"test accuracy {cell.accuracy:.2f} over {cell.confusion.total} pairs; "
           f"checkpoint and report in {out}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    opts = _Options(args)
+def cmd_eval(opts: _Options) -> int:
     ckpt = opts.get("model", None)
     if not ckpt:
         raise UsageError("--model checkpoint path is required")
     model, cfg, meta = load_model(Path(ckpt))  # before corpus resolution
-    out = opts.get("out", None)
-    load = _corpus_arg(opts, Path(out) if out else None)
-    seed = opts.get("seed", 0, int)
+    out = opts.out(required=False)
+    load = _corpus_arg(opts, out)
+    seed = opts.get("seed", 0, int, lambda s: s >= 0)
     corpus = load()
     _, test_recs = stratified_split(list(corpus.records), seed=seed)
     test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
@@ -376,16 +378,13 @@ def cmd_eval(args) -> int:
     report = format_report([row], matrices=[(meta["model"], confusion)],
                            header=opts.header())
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(report)
+        _write(out, "report.txt", report)
     print(f"test accuracy {acc:.2f} over {confusion.total} pairs")
     return 0
 
 
-def cmd_experiment(args) -> int:
-    opts = _Options(args)
-    out = Path(opts.get("out", None) or _usage("--out is required"))
+def cmd_experiment(opts: _Options) -> int:
+    out = opts.out(required=True)
     load = _corpus_arg(opts, out)
     spec = _spec_arg(opts, grid=True)  # a usage error writes no corpus
     corpus = load()
@@ -395,10 +394,6 @@ def cmd_experiment(args) -> int:
                      + format_report(result.aggregates))
     print(f"full report in {out / 'report.txt'}")
     return 0
-
-
-def _usage(message: str):
-    raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +463,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "func", None) is None:
+            parser.print_usage(sys.stderr)
+            raise UsageError("pineq: a subcommand is required")
+        return args.func(_Options(args))
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help prints and asks to exit 0
         return int(exc.code or 0)
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        print("pineq: a subcommand is required", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except (CorpusError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

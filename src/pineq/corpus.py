@@ -485,12 +485,19 @@ _MIC_BANK = (
 _TAP_CYCLE = ("side", "side", "bottom", "bottom")
 # photo k: camera 1 + k % 2 , content side/bottom by (k // 2) % 2
 _PHOTO_CONTENT = ("side", "bottom")
+# views per synthetic record; the cycles above give build_test_pairs its 4
+# location-1 side soundtracks (j = 0, 1, 5, 6) and 4 location-2 bottom
+# photos (k = 3, 7, 11, 15) from 7 soundtracks and 16 photos on
+SYNTHETIC_SOUNDTRACKS = 20
+SYNTHETIC_PHOTOS = 16
 
 
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for :func:`generate_synthetic`.
 
+    Every record has the paper's fixed layout of ``SYNTHETIC_SOUNDTRACKS``
+    (20) soundtracks and ``SYNTHETIC_PHOTOS`` (16) photos.
     ``audio_separability`` / ``visual_separability`` blend each record's
     per-modality latent ripeness between its grade target (1.0: grades
     are perfectly separated) and uniform noise (0.0: no class signal).
@@ -501,8 +508,6 @@ class SyntheticConfig:
 
     records: int
     proportions: Tuple[float, ...] = (0.4, 0.3, 0.2, 0.1)
-    soundtracks_per_record: int = 20
-    photos_per_record: int = 16
     audio_separability: float = 0.9
     visual_separability: float = 0.5
     noise: float = 0.2
@@ -522,8 +527,6 @@ class SyntheticConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.soundtracks_per_record < 1 or self.photos_per_record < 1:
-            raise ValueError("need at least one soundtrack and one photo")
         if self.audio_seconds <= 0.05:
             raise ValueError("soundtracks must be longer than 50 ms")
         if self.image_width < 2 or self.image_height < 2:
@@ -615,7 +618,7 @@ def generate_synthetic(cfg: SyntheticConfig, out_dir: str | Path) -> Corpus:
         ripe_v = cfg.visual_separability * grade + (1 - cfg.visual_separability) * rng.random()
 
         tracks: List[MediaMeta] = []
-        for j in range(cfg.soundtracks_per_record):
+        for j in range(SYNTHETIC_SOUNDTRACKS):
             loc, mic = _MIC_BANK[j % len(_MIC_BANK)]
             rel = f"audio/{rid}_a{j:02d}.wav"
             wave = _synth_soundtrack(rng, ripe_a, cfg, loc, mic)
@@ -629,7 +632,7 @@ def generate_synthetic(cfg: SyntheticConfig, out_dir: str | Path) -> Corpus:
             ))
 
         photos: List[MediaMeta] = []
-        for k in range(cfg.photos_per_record):
+        for k in range(SYNTHETIC_PHOTOS):
             content = _PHOTO_CONTENT[(k // 2) % 2]
             rel = f"photos/{rid}_v{k:02d}.ppm"
             img = _synth_photo(rng, ripe_v, cfg, content)
@@ -644,8 +647,6 @@ def generate_synthetic(cfg: SyntheticConfig, out_dir: str | Path) -> Corpus:
 
         records.append(PineappleRecord(rid, label, tuple(tracks), tuple(photos)))
 
-    manifest = write_manifest(
-        records, cfg.soundtracks_per_record, cfg.photos_per_record
-    )
+    manifest = write_manifest(records, SYNTHETIC_SOUNDTRACKS, SYNTHETIC_PHOTOS)
     (root / "manifest.txt").write_text(manifest)
-    return Corpus(root, tuple(records), cfg.soundtracks_per_record, cfg.photos_per_record)
+    return Corpus(root, tuple(records), SYNTHETIC_SOUNDTRACKS, SYNTHETIC_PHOTOS)

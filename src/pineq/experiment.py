@@ -6,8 +6,10 @@ requested strategy, builds the fixed evaluation pairs for the held-out
 records, trains from scratch, and scores a confusion matrix. Per-seed rows
 are then averaged into aggregate rows, and everything is rendered as a
 plain-text report plus CSV (and per-cell loss traces). Every cell is
-drawn before the first one trains, so a grid that the sampler cannot draw
-raises its ``InfeasibleSampleError`` before any cell trains.
+drawn once, before the first one trains, and trains on that draw, so a
+grid that the sampler cannot draw raises its ``InfeasibleSampleError``,
+and a split that holds no record out its ``CorpusError``, before any
+cell trains.
 
 The whole run is a pure function of (spec, corpus): reruns reproduce the
 report byte for byte. Independent cells may run in parallel worker
@@ -30,6 +32,7 @@ import numpy as np
 
 from .corpus import (
     Corpus,
+    CorpusError,
     build_test_pairs,
     sample_corpus_pairs,
     stratified_split,
@@ -121,21 +124,24 @@ class CellOutcome:
     test_ids: Tuple[str, ...]
 
 
-def _draw(corpus: Corpus, cell: Tuple[str, str, int, int]):
+def draw_cell(corpus: Corpus, cell: Tuple[str, str, int, int]):
     """Split the corpus, sample the training pairs and build the test grid."""
     _, strategy, samples, seed = cell
     train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
+    if not test_recs:
+        raise CorpusError(f"seed {seed}: the split of {len(corpus.records)} records holds "
+                          "none out for testing; a grade needs 3 records to give one")
     pairs = sample_corpus_pairs(train_recs, strategy, samples, seed=seed)
     test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
     return train_recs, test_recs, pairs, test_pairs
 
 
-def run_cell(spec: ExperimentSpec, corpus: Corpus, store: FeatureStore,
-             cell: Tuple[str, str, int, int],
+def run_cell(spec: ExperimentSpec, store: FeatureStore,
+             cell: Tuple[str, str, int, int], draw,
              architecture=None) -> Tuple[CellOutcome, TrainResult]:
-    """Split, sample, train and score one grid cell; also return the fit."""
+    """Train and score one grid cell on its ``draw_cell``; also return the fit."""
     model_name, strategy, samples, seed = cell
-    train_recs, test_recs, pairs, test_pairs = _draw(corpus, cell)
+    train_recs, test_recs, pairs, test_pairs = draw
     train_ids = tuple(r.record_id for r in train_recs)
     test_ids = tuple(r.record_id for r in test_recs)
     assert set(train_ids).isdisjoint(test_ids), "train/test records overlap"
@@ -150,17 +156,17 @@ def run_cell(spec: ExperimentSpec, corpus: Corpus, store: FeatureStore,
     return outcome, result
 
 
-_run = None  # (spec, corpus, store, architectures); _share sets it in forked workers only
+_run = None  # (spec, store, jobs); _share sets it in forked workers only
 
 
-def _share(spec, corpus, store, architectures) -> None:
+def _share(spec, store, jobs) -> None:
     global _run
-    _run = (spec, corpus, store, architectures)
+    _run = (spec, store, jobs)
 
 
-def _worker(cell: Tuple[str, str, int, int]) -> CellOutcome:
-    spec, corpus, store, architectures = _run
-    return run_cell(spec, corpus, store, cell, architectures.get(cell[0]))[0]
+def _worker(i: int) -> CellOutcome:
+    spec, store, jobs = _run
+    return run_cell(spec, store, *jobs[i])[0]
 
 
 def _worker_count(n_cells: int) -> int:
@@ -200,21 +206,20 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
                    extra_header: Sequence[str] = ()) -> ExperimentResult:
     """Execute every grid cell and assemble deterministic report rows."""
     architectures = dict(architectures or {})
-    cells = spec.cells()
-    for cell in cells:  # a cell that cannot be drawn fails before any trains
-        _draw(corpus, cell)
+    # each cell is drawn once, before any trains, so a bad draw fails first
+    jobs = [(cell, draw_cell(corpus, cell), architectures.get(cell[0]))
+            for cell in spec.cells()]
 
-    workers = _worker_count(len(cells))
+    workers = _worker_count(len(jobs))
     store = store if store is not None else FeatureStore(corpus)
     if workers > 1:
-        # forked workers inherit the store without a copy; one cell per task
-        # balances cells of unequal cost
+        # forked workers inherit the store and the draws without a copy; one
+        # cell per task balances cells of unequal cost
         with multiprocessing.get_context("fork").Pool(
-                workers, _share, (spec, corpus, store, architectures)) as pool:
-            outcomes = pool.map(_worker, cells, chunksize=1)
+                workers, _share, (spec, store, jobs)) as pool:
+            outcomes = pool.map(_worker, range(len(jobs)), chunksize=1)
     else:
-        outcomes = [run_cell(spec, corpus, store, c, architectures.get(c[0]))[0]
-                    for c in cells]
+        outcomes = [run_cell(spec, store, *job)[0] for job in jobs]
 
     rows = [ReportRow(o.model, o.strategy, o.samples_total, o.accuracy, o.seed)
             for o in outcomes]
@@ -256,16 +261,10 @@ def write_outputs(result: ExperimentResult, out_dir: Path | str) -> List[Path]:
     """Write report.txt, results.csv, and per-cell loss traces; return paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in (("report.txt", result.report_text()),
-                       ("results.csv", result.csv_text())):
-        path = out / name
-        path.write_text(text)
-        written.append(path)
-    for cell in result.cells:
-        name = (f"loss_{cell.model}_{cell.strategy}"
-                f"_s{cell.samples_per_record}_seed{cell.seed}.csv")
-        path = out / name
-        path.write_text(format_loss_trace(list(cell.losses)))
-        written.append(path)
-    return written
+    texts = [("report.txt", result.report_text()), ("results.csv", result.csv_text())]
+    for c in result.cells:
+        name = f"loss_{c.model}_{c.strategy}_s{c.samples_per_record}_seed{c.seed}.csv"
+        texts.append((name, format_loss_trace(list(c.losses))))
+    for name, text in texts:
+        (out / name).write_text(text)
+    return [out / name for name, _ in texts]

@@ -317,11 +317,13 @@ def _forward(model: Module, cfg: TrainConfig, store: FeatureStore,
                         index.get("audio"), index.get("visual"))
 
 
-def _finite_loss(loss: Tensor, step: int, phase: str) -> float:
-    """The scalar loss of one optimizer step; a non-finite one stops the fit."""
+def _step(opt: Adam, loss: Tensor, step: int, phase: str) -> float:
+    """One optimizer step on ``loss``; a non-finite loss stops the fit first."""
     value = loss.item()
     if not np.isfinite(value):
         raise ValueError(f"{phase} diverged: loss {value} at step {step}")
+    loss.backward()
+    opt.step()
     return value
 
 
@@ -346,10 +348,7 @@ def _pretrain(model: CrossModalEncoder, cfg: TrainConfig, store: FeatureStore,
             del mel, image  # only token copies stay alive through the step
             mask = pre.sample_mask(mask_rng, len(chunk))
             loss, _ = pre.loss(Tensor(a), Tensor(v), mask, audio_index, visual_index)
-            value = _finite_loss(loss, len(losses) + 1, "pretraining")
-            loss.backward()
-            opt.step()
-            losses.append(value)
+            losses.append(_step(opt, loss, len(losses) + 1, "pretraining"))
     return losses
 
 
@@ -395,9 +394,7 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
             loss = weighted_smoothed_ce(logits, labels[idx], weights,
                                         cfg.smoothing)
             step += 1
-            value = _finite_loss(loss, step, "training")
-            loss.backward()
-            opt.step()
+            value = _step(opt, loss, step, "training")
             wsum = float(np.asarray(weights, dtype=np.float64)[labels[idx]].sum())
             num += value * wsum
             den += wsum

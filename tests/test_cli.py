@@ -208,9 +208,17 @@ def test_usage_errors(corpus_dir, tmp_path, capsys):
     ["split", "--synthetic", "--records", "4", "--seed", "abc"],
     ["sample", "--synthetic", "--records", "4", "--samples-per-record", "x"],
     ["experiment", "--synthetic", "--records", "4", "--seed", "-1"],
+    ["split", "--synthetic", "--records", "4", "--seed", "-1"],
+    ["sample", "--synthetic", "--records", "4", "--seed", "-1"],
+    ["sample", "--synthetic", "--records", "4", "--samples-per-record", "0"],
+    ["eval", "--model", "CKPT", "--synthetic", "--records", "4", "--seed", "-1"],
 ], ids=["synth-noise", "synthetic-records", "split-seed", "sample-samples",
-        "experiment-negative-seed"])
-def test_bad_value_is_usage_error_that_writes_nothing(tmp_path, capsys, argv):
+        "experiment-negative-seed", "split-negative-seed", "sample-negative-seed",
+        "sample-zero-samples", "eval-negative-seed"])
+def test_bad_value_is_usage_error_that_writes_nothing(tmp_path, capsys, request, argv):
+    if "CKPT" in argv:  # only eval needs a checkpoint to reach its flags
+        ckpt = request.getfixturevalue("trained_dir") / "model.ckpt"
+        argv = [str(ckpt) if a == "CKPT" else a for a in argv]
     out = tmp_path / "d"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err

@@ -5,7 +5,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from pineq.corpus import InfeasibleSampleError, SyntheticConfig, generate_synthetic
+from pineq.corpus import (CorpusError, InfeasibleSampleError, SyntheticConfig,
+                          generate_synthetic)
 from pineq.models import CrossModalConfig
 from pineq import experiment
 from pineq.experiment import ExperimentSpec, run_experiment, write_outputs
@@ -85,6 +86,41 @@ def test_infeasible_cell_fails_before_any_cell_trains(corpus, store, monkeypatch
     with pytest.raises(InfeasibleSampleError, match="pool of 8 views"):
         run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=store)
     assert not (tmp_path / "trained").exists()
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "forked"])
+def test_each_cell_is_drawn_once(corpus, store, monkeypatch, tmp_path, threads):
+    calls = tmp_path / "calls"
+    sample = experiment.sample_corpus_pairs
+
+    def spy(*args, **kwargs):  # a file, so that forked workers report too
+        with calls.open("a") as f:
+            f.write("drawn\n")
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "sample_corpus_pairs", spy)
+    if threads is None:
+        monkeypatch.delenv("PQC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PQC_THREADS", threads)
+    spec = cnn_spec(strategies=("random", "audio-major"), seeds=(0, 1))
+    run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=store)
+    assert len(calls.read_text().splitlines()) == len(spec.cells()) == 4
+
+
+def test_split_that_holds_no_record_out_fails_before_training(tmp_path, monkeypatch):
+    # with the default proportions no grade of 6 records has the 3 that
+    # hold one out
+    small = generate_synthetic(
+        SyntheticConfig(records=6, seed=3, audio_seconds=0.25, image_width=32,
+                        image_height=24), tmp_path / "corpus")
+
+    def spy(*args, **kwargs):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(experiment, "train", spy)
+    with pytest.raises(CorpusError, match="^seed 5: the split of 6 records holds none out"):
+        run_experiment(cnn_spec(seeds=(5,)), small, architectures={"cnn": TINY_CNN})
 
 
 def test_cartesian_rows_ordering_and_disjointness(corpus, store):
