@@ -1,15 +1,14 @@
 """Walk a synthetic fruit photo through the visual preprocessing.
 
 Builds a portable pixmap with a bright disc on a dark gradient, then
-shows decoding, region cropping, bilinear resizing, and the standardized
-224x224x3 network input produced by the one-shot helper.
+shows decoding, bilinear resizing, and the standardized 224x224x3
+network input produced by the one-shot helper.
 """
 
 import numpy as np
 
 from pineq.image import (
     TARGET_SIZE,
-    crop_region,
     preprocess_image,
     read_image,
     resize_bilinear,
@@ -33,16 +32,12 @@ decoded = read_image(ppm_bytes)
 print(f"decoded: {decoded.shape}, range [{decoded.min():.3f}, "
       f"{decoded.max():.3f}]")
 
-crop = crop_region(decoded, 35, 60, 70, 70)
-print(f"crop around the disc: {crop.shape}, mean {crop.mean():.3f} "
-      f"(vs full-frame mean {decoded.mean():.3f})")
-
-resized = resize_bilinear(crop, TARGET_SIZE, TARGET_SIZE)
+resized = resize_bilinear(decoded, TARGET_SIZE, TARGET_SIZE)
 print(f"resized: {resized.shape}")
 
-# --- the one-shot helper: decode, optional crop, resize, standardize ------
-feat = preprocess_image(ppm_bytes, crop=(35, 60, 70, 70))
+# --- the one-shot helper: decode, resize, standardize ---------------------
+feat = preprocess_image(ppm_bytes)
 print(f"network input: {feat.shape}, dtype {feat.dtype}, "
       f"range [{feat.min():.3f}, {feat.max():.3f}]  (standardized)")
 assert np.array_equal(feat, ((resized - 0.5) / 0.5).astype(np.float32))
-print("preprocess_image == decode + crop + resize + standardize: OK")
+print("preprocess_image == decode + resize + standardize: OK")

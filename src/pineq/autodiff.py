@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 The training side of this package needs gradients for a fairly small
-set of operations: elementwise arithmetic, rectifier/exp/log, matrix
+set of operations: arithmetic, rectifier/exp/log, matrix
 products (plain and batched), 2-D convolution, max pooling over disjoint
 windows, softmax and the shape plumbing around them
 (reshape/transpose/concat/narrow/take/sum).
@@ -18,11 +18,8 @@ Design notes
   fan-out points.
 * dtype follows the inputs (float32 for training, float64 for gradient
   checking); nothing silently upcasts.
-* Binary operations broadcast like numpy internally, and gradients are
-  summed back down to each parent's shape.  The public
-  :func:`elementwise` dispatcher enforces the stricter equal-shape /
-  scalar-only rule and is what external callers should use if they want
-  that contract checked.
+* Binary operations broadcast like numpy, and gradients are summed
+  back down to each parent's shape.
 * Inside :func:`no_grad` no graph is recorded: each result is a constant,
   so an intermediate array is freed as soon as the next operation has
   read it.  Forward-only passes (evaluation) use it; their peak memory is
@@ -47,7 +44,6 @@ __all__ = [
     "DomainError",
     "NonCheckableError",
     "MissingGradientError",
-    "elementwise",
     "matmul",
     "bmm",
     "conv2d",
@@ -343,35 +339,6 @@ def _pow(a: Tensor, p: float) -> Tensor:
     def vjp(g):
         return (g * p * x ** (p - 1.0),)
     return _node(out, (a,), vjp, "pow")
-
-
-_ELEMENTWISE_BINARY = {"add", "sub", "mul"}
-_ELEMENTWISE_UNARY = {"relu", "exp", "log"}
-
-
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
-    """Strict elementwise dispatcher.
-
-    Binary kinds (``add``/``sub``/``mul``) require equal shapes or a
-    scalar second operand; ``scale`` takes a python float; the unary
-    kinds (``relu``/``exp``/``log``) ignore ``b``.
-    """
-    if kind in _ELEMENTWISE_UNARY:
-        return getattr(a, kind)()
-    if kind == "scale":
-        if not isinstance(b, (int, float)):
-            raise TypeError("scale expects a python scalar")
-        return _scale(a, float(b))
-    if kind not in _ELEMENTWISE_BINARY:
-        raise ValueError(f"unknown elementwise kind: {kind!r}")
-    b = _wrap(b, a.data.dtype)
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-        raise ShapeError(
-            f"{kind} needs equal shapes or a scalar, got "
-            f"{a.data.shape} vs {b.data.shape}"
-        )
-    return {"add": Tensor.__add__, "sub": Tensor.__sub__,
-            "mul": Tensor.__mul__}[kind](a, b)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

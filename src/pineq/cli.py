@@ -1,9 +1,8 @@
 """Command-line entry point.
 
-One batch-oriented tool with seven subcommands::
+One batch-oriented tool with six subcommands::
 
     synth       materialize a synthetic audiovisual corpus on disk
-    preprocess  run the DSP/image chains and save feature tensors
     split       stratified 4:1 record split
     sample      draw (soundtrack, photo) training pairs per record
     train       run one experiment cell and checkpoint its model and report
@@ -30,12 +29,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import tensorio
-from .audio import preprocess_audio
 from .corpus import (
     Corpus,
     CorpusError,
     SyntheticConfig,
-    build_test_pairs,
     generate_synthetic,
     load_corpus,
     sample_corpus_pairs,
@@ -45,11 +42,11 @@ from .experiment import (
     STRATEGIES,
     ExperimentSpec,
     draw_cell,
+    held_out,
     run_cell,
     run_experiment,
     write_outputs,
 )
-from .image import preprocess_image
 from .training import (
     FeatureStore,
     ReportRow,
@@ -283,24 +280,6 @@ def cmd_synth(opts: _Options) -> int:
     return 0
 
 
-def cmd_preprocess(opts: _Options) -> int:
-    out = opts.out(required=True)
-    corpus = _corpus_arg(opts, out)()
-    out.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for rec in corpus.records:
-        for meta in rec.audio:
-            mel = corpus.decode_media(meta, preprocess_audio)
-            tensorio.save_tensor(out / f"{Path(meta.path).stem}.pqct", mel)
-            count += 1
-        for meta in rec.photos:
-            img = corpus.decode_media(meta, preprocess_image)
-            tensorio.save_tensor(out / f"{Path(meta.path).stem}.pqct", img)
-            count += 1
-    print(f"wrote {count} feature tensors to {out}")
-    return 0
-
-
 def cmd_split(opts: _Options) -> int:
     out = opts.out(required=False)
     load = _corpus_arg(opts, out)
@@ -369,10 +348,8 @@ def cmd_eval(opts: _Options) -> int:
     load = _corpus_arg(opts, out)
     seed = opts.get("seed", 0, int, lambda s: s >= 0)
     corpus = load()
-    _, test_recs = stratified_split(list(corpus.records), seed=seed)
-    test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
-    store = FeatureStore(corpus)
-    confusion = evaluate(model, cfg, store, test_recs, test_pairs)
+    _, test_recs, test_pairs = held_out(corpus, seed)
+    confusion = evaluate(model, cfg, FeatureStore(corpus), test_recs, test_pairs)
     acc = accuracy(confusion)
     row = ReportRow(meta["model"], "eval", confusion.total, acc, seed)
     report = format_report([row], matrices=[(meta["model"], confusion)],
@@ -428,9 +405,6 @@ def build_parser() -> _Parser:
                   ["records", "seed", "out", "audio-seconds", "image-width",
                    "image-height", "audio-separability", "visual-separability",
                    "noise", "config"]),
-        "preprocess": (cmd_preprocess, "save feature tensors for all media",
-                       ["corpus", "synthetic", "records", "corpus-seed", "out",
-                        "config"]),
         "split": (cmd_split, "stratified 4:1 record split",
                   ["corpus", "synthetic", "records", "corpus-seed", "seed",
                    "out", "config"]),

@@ -124,15 +124,20 @@ class CellOutcome:
     test_ids: Tuple[str, ...]
 
 
-def draw_cell(corpus: Corpus, cell: Tuple[str, str, int, int]):
-    """Split the corpus, sample the training pairs and build the test grid."""
-    _, strategy, samples, seed = cell
+def held_out(corpus: Corpus, seed: int):
+    """Split the corpus and build the test grid of the records it holds out."""
     train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
     if not test_recs:
         raise CorpusError(f"seed {seed}: the split of {len(corpus.records)} records holds "
                           "none out for testing; a grade needs 3 records to give one")
+    return train_recs, test_recs, {r.record_id: build_test_pairs(r) for r in test_recs}
+
+
+def draw_cell(corpus: Corpus, cell: Tuple[str, str, int, int]):
+    """Split the corpus, build the test grid and sample the training pairs."""
+    _, strategy, samples, seed = cell
+    train_recs, test_recs, test_pairs = held_out(corpus, seed)
     pairs = sample_corpus_pairs(train_recs, strategy, samples, seed=seed)
-    test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
     return train_recs, test_recs, pairs, test_pairs
 
 

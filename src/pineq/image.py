@@ -1,13 +1,10 @@
-"""Photo preparation: PPM decoding, cropping, bilinear resize to 224x224.
+"""Photo preparation: PPM decoding, bilinear resize to 224x224.
 
-Only binary PPM (P6, maxval 255) is decoded natively; anything else can
-be routed through a caller-supplied ``decode_hook`` so corpora stored in
-other formats plug in without this module growing codec code.
+Only binary PPM (P6, maxval 255) is decoded; any other byte stream is
+rejected with an error that says why.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -16,7 +13,6 @@ __all__ = [
     "UnsupportedImageError",
     "read_image",
     "write_ppm",
-    "crop_region",
     "resize_bilinear",
     "preprocess_image",
 ]
@@ -54,23 +50,15 @@ def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i
 
 
-def read_image(data: bytes, decode_hook: Callable[[bytes], np.ndarray] | None = None) -> np.ndarray:
-    """Decode to an (H, W, 3) float64 array in [0, 1].
+def read_image(data: bytes) -> np.ndarray:
+    """Decode a P6 PPM to an (H, W, 3) float64 array in [0, 1].
 
-    P6 is handled natively.  P5 (grayscale) raises
-    :class:`UnsupportedImageError`.  Any other leading bytes go to
-    ``decode_hook`` when given, else raise :class:`MalformedImageError`.
+    P5 (grayscale) raises :class:`UnsupportedImageError`; any other
+    leading bytes raise :class:`MalformedImageError`.
     """
     if data[:2] == b"P5":
         raise UnsupportedImageError("grayscale PGM; need 3-channel data")
     if data[:2] != b"P6":
-        if decode_hook is not None:
-            img = np.asarray(decode_hook(data), dtype=np.float64)
-            if img.ndim != 3 or img.shape[2] != 3:
-                raise UnsupportedImageError(
-                    f"decode hook returned shape {img.shape}, need (H, W, 3)"
-                )
-            return img
         raise MalformedImageError(f"not a P6 PPM (starts {data[:2]!r})")
     tokens, end = _header_tokens(data[2:], 3)
     try:
@@ -100,18 +88,6 @@ def write_ppm(img: np.ndarray) -> bytes:
     return b"P6\n" + f"{w} {h}\n255\n".encode() + q.tobytes()
 
 
-def crop_region(img: np.ndarray, top: int, left: int, height: int, width: int) -> np.ndarray:
-    """Bounds-checked rectangular crop."""
-    h, w = img.shape[:2]
-    if height < 1 or width < 1:
-        raise ValueError(f"empty crop {height}x{width}")
-    if top < 0 or left < 0 or top + height > h or left + width > w:
-        raise ValueError(
-            f"crop [{top}:{top + height}, {left}:{left + width}] outside {h}x{w}"
-        )
-    return img[top : top + height, left : left + width]
-
-
 def _axis_lerp(n_src: int, n_dst: int):
     centers = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
     centers = np.clip(centers, 0.0, n_src - 1.0)
@@ -139,14 +115,7 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
-def preprocess_image(
-    data: bytes,
-    crop: tuple[int, int, int, int] | None = None,
-    decode_hook: Callable[[bytes], np.ndarray] | None = None,
-) -> np.ndarray:
+def preprocess_image(data: bytes) -> np.ndarray:
     """Bytes to standardized (224, 224, 3) float32: resize, then (x-0.5)/0.5."""
-    img = read_image(data, decode_hook=decode_hook)
-    if crop is not None:
-        img = crop_region(img, *crop)
-    resized = resize_bilinear(img, TARGET_SIZE, TARGET_SIZE)
+    resized = resize_bilinear(read_image(data), TARGET_SIZE, TARGET_SIZE)
     return ((resized - 0.5) / 0.5).astype(np.float32)

@@ -1,5 +1,8 @@
 """PQCT tensor container and checkpoint serialization.
 
+The container serializes model weights only: features never reach disk,
+since ``training.FeatureStore`` computes them from the media files.
+
 Layout (all little-endian): magic ``PQCT``, version u16, rank u16, one
 u32 extent per axis, then the payload as row-major float32.
 
@@ -22,8 +25,6 @@ __all__ = [
     "FormatError",
     "tensor_to_bytes",
     "tensor_from_bytes",
-    "save_tensor",
-    "load_tensor",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -62,14 +63,6 @@ def tensor_from_bytes(data: bytes | memoryview) -> np.ndarray:
         )
     flat = np.frombuffer(data[need:end], dtype="<f4")
     return flat.reshape(shape).astype(np.float32, copy=True)
-
-
-def save_tensor(path: str | Path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(tensor_to_bytes(arr))
-
-
-def load_tensor(path: str | Path) -> np.ndarray:
-    return tensor_from_bytes(Path(path).read_bytes())
 
 
 def save_checkpoint(path: str | Path, named: dict[str, np.ndarray]) -> None:

@@ -21,7 +21,6 @@ from pineq.autodiff import (
     bmm,
     concat,
     conv2d,
-    elementwise,
     grad_check,
     layer_norm,
     log_softmax,
@@ -78,7 +77,7 @@ def _primitive_cases(rng):
         ("sub", lambda a, b: (a - b).sum(), [t(3, 4), t(3, 4)]),
         ("mul", lambda a, b: (a * b).sum(), [t(3, 4), t(3, 4)]),
         ("div", lambda a, b: (a / b).sum(), [t(3, 4), t(3, 4, positive=True)]),
-        ("neg+scale", lambda a: elementwise("scale", -a, 2.5).sum(), [t(3, 4)]),
+        ("neg+scale", lambda a: (-a * 2.5).sum(), [t(3, 4)]),
         ("pow", lambda a: (a ** 2.5).sum(), [t(3, 4, positive=True)]),
         ("relu", lambda a: a.relu().sum(), [t(4, 4)]),
         ("exp", lambda a: a.exp().sum(), [t(3, 3)]),

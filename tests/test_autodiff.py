@@ -20,7 +20,6 @@ from pineq.autodiff import (
     bmm,
     concat,
     conv2d,
-    elementwise,
     grad_check,
     layer_norm,
     log_softmax,
@@ -113,24 +112,14 @@ def naive_maxpool_grad(x, window, g):
 def test_elementwise_forward_matches_numpy():
     a = t64(3, 4)
     b = t64(3, 4)
-    np.testing.assert_allclose(elementwise("add", a, b).data, a.data + b.data)
-    np.testing.assert_allclose(elementwise("sub", a, b).data, a.data - b.data)
-    np.testing.assert_allclose(elementwise("mul", a, b).data, a.data * b.data)
-    np.testing.assert_allclose(elementwise("relu", a).data, np.maximum(a.data, 0))
-    np.testing.assert_allclose(elementwise("exp", a).data, np.exp(a.data))
-    np.testing.assert_allclose(elementwise("scale", a, 2.5).data, a.data * 2.5)
+    np.testing.assert_allclose((a + b).data, a.data + b.data)
+    np.testing.assert_allclose((a - b).data, a.data - b.data)
+    np.testing.assert_allclose((a * b).data, a.data * b.data)
+    np.testing.assert_allclose(a.relu().data, np.maximum(a.data, 0))
+    np.testing.assert_allclose(a.exp().data, np.exp(a.data))
+    np.testing.assert_allclose((a * 2.5).data, a.data * 2.5)
     pos = t64(3, 4, lo=0.1, hi=3.0)
-    np.testing.assert_allclose(elementwise("log", pos).data, np.log(pos.data))
-
-
-def test_elementwise_rejects_shape_mismatch():
-    a = t64(2, 3)
-    b = t64(3, 2)
-    with pytest.raises(ShapeError):
-        elementwise("add", a, b)
-    # scalar broadcast is the one allowed mismatch
-    s = Tensor(np.float64(2.0))
-    assert elementwise("mul", a, s).data.shape == (2, 3)
+    np.testing.assert_allclose(pos.log().data, np.log(pos.data))
 
 
 def test_log_of_non_positive_raises():

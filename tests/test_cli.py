@@ -6,12 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import pineq
 from pineq import tensorio
-from pineq.audio import preprocess_audio
 from pineq.cli import main, read_config
 from pineq.corpus import load_corpus, sample_corpus_pairs, stratified_split
 
@@ -45,8 +43,9 @@ def test_help_exits_zero(capsys):
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
-    assert main(["frobnicate"]) == 1
-    assert capsys.readouterr().err
+    for name in ("frobnicate", "preprocess"):
+        assert main([name]) == 1
+        assert "invalid choice" in capsys.readouterr().err
     assert main([]) == 1
     assert "subcommand" in capsys.readouterr().err
 
@@ -79,20 +78,6 @@ def test_sample_is_deterministic(corpus_dir, tmp_path, capsys):
     lines = a.decode().strip().splitlines()
     assert lines[0] == "record,soundtrack,photo"
     assert len(lines) == 1 + 8 * 3
-
-
-def test_preprocess_saves_feature_tensors(corpus_dir, tmp_path):
-    out = tmp_path / "features"
-    assert main(["preprocess", "--corpus", str(corpus_dir),
-                 "--out", str(out)]) == 0
-    corpus = load_corpus(corpus_dir / "manifest.txt")
-    rec = corpus.records[0]
-    n_media = len(corpus.records) * (len(rec.audio) + len(rec.photos))
-    assert len(list(out.glob("*.pqct"))) == n_media
-    meta = rec.audio[0]
-    stored = tensorio.load_tensor(out / "p0000_a00.pqct")
-    want = preprocess_audio(corpus.media_path(meta).read_bytes())
-    np.testing.assert_array_equal(stored, want)
 
 
 def test_train_writes_artifacts(trained_dir):
@@ -144,20 +129,6 @@ def test_corrupt_wav_is_data_error_naming_the_file(corpus_dir, tmp_path, capsys)
         f"error: {meta.path}: missing RIFF/WAVE header"
 
 
-def test_preprocess_corrupt_wav_is_data_error_naming_the_file(corpus_dir, tmp_path,
-                                                             capsys):
-    corpus_copy = tmp_path / "corpus"
-    shutil.copytree(corpus_dir, corpus_copy)
-    corpus = load_corpus(corpus_copy / "manifest.txt")
-    meta = corpus.records[0].audio[0]
-    corpus.media_path(meta).write_bytes(b"not a wav file at all")
-    rc = main(["preprocess", "--corpus", str(corpus_copy),
-               "--out", str(tmp_path / "features")])
-    assert rc == 2
-    assert capsys.readouterr().err.strip() == \
-        f"error: {meta.path}: missing RIFF/WAVE header"
-
-
 def test_corpus_report_echoes_no_synthetic_settings(trained_dir):
     report = (trained_dir / "report.txt").read_text().splitlines()
     echoed = {l[2:].split(":")[0] for l in report if l.startswith("# ")}
@@ -172,6 +143,14 @@ def test_eval_reproduces_train_accuracy(corpus_dir, trained_dir, capsys):
     report = (trained_dir / "report.txt").read_text()
     acc = [l for l in report.splitlines() if l.startswith("cnn")][0].split()[-1]
     assert f"test accuracy {acc}" in eval_line
+
+
+def test_eval_split_that_holds_no_record_out_names_the_seed(trained_dir, tmp_path,
+                                                           capsys):
+    rc = main(["eval", "--model", str(trained_dir / "model.ckpt"), "--synthetic",
+               "--records", "4", "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert "seed 0: the split of 4 records holds none out" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint_is_data_error(capsys):

@@ -1,4 +1,4 @@
-"""Image pipeline tests: PPM parsing, cropping, bilinear resize."""
+"""Image pipeline tests: PPM parsing, bilinear resize."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from pineq.image import (
     MalformedImageError,
     UnsupportedImageError,
-    crop_region,
     preprocess_image,
     read_image,
     resize_bilinear,
@@ -74,14 +73,8 @@ def test_read_ppm_rejects_unusual_maxval():
 
 
 def test_decode_hook_handles_foreign_formats():
-    sentinel = np.full((4, 5, 3), 0.25)
-    def hook(raw: bytes):
-        assert raw == b"\x89OTHER"
-        return sentinel
-    img = read_image(b"\x89OTHER", decode_hook=hook)
-    np.testing.assert_array_equal(img, sentinel)
     with pytest.raises(MalformedImageError):
-        read_image(b"\x89OTHER")  # no hook, not a PPM
+        read_image(b"\x89OTHER")  # not a PPM
 
 
 def test_write_ppm_roundtrip():
@@ -89,15 +82,6 @@ def test_write_ppm_roundtrip():
     px = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
     back = read_image(write_ppm(px / 255.0))
     np.testing.assert_allclose(back, px / 255.0)
-
-
-def test_crop_region_bounds():
-    img = np.arange(6 * 8 * 3, dtype=np.float64).reshape(6, 8, 3) / 144.0
-    sub = crop_region(img, top=1, left=2, height=3, width=4)
-    np.testing.assert_array_equal(sub, img[1:4, 2:6])
-    for bad in [(-1, 0, 2, 2), (0, 0, 7, 2), (5, 7, 2, 2), (0, 0, 0, 3)]:
-        with pytest.raises(ValueError):
-            crop_region(img, *bad)
 
 
 def test_resize_identity_is_exact():
@@ -137,13 +121,6 @@ def test_preprocess_image_standardization():
     assert feat.dtype == np.float32
     np.testing.assert_allclose(feat[..., 0], 1.0)
     np.testing.assert_allclose(feat[..., 1], -1.0)
-
-
-def test_preprocess_image_with_crop():
-    px = np.zeros((10, 10, 3), dtype=np.uint8)
-    px[:5] = 255  # top half white
-    feat = preprocess_image(make_ppm(px), crop=(0, 0, 5, 10))
-    np.testing.assert_allclose(feat, 1.0)
 
 
 def test_preprocess_image_is_deterministic():
