@@ -15,7 +15,8 @@ Design notes
   closure computing the vector-Jacobian product, so the graph is the
   set of live Python objects; ``backward()`` topologically sorts it and
   visits every node exactly once, accumulating gradients additively at
-  fan-out points.
+  fan-out points, and frees each inner node's gradient and closure as
+  soon as that closure has run.
 * dtype follows the inputs (float32 for training, float64 for gradient
   checking); nothing silently upcasts.
 * Binary operations broadcast like numpy, and gradients are summed
@@ -126,7 +127,13 @@ class Tensor:
     # -- graph construction -------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; visits each graph node once."""
+        """Backpropagate from a scalar; visits each graph node once.
+
+        Only leaves keep ``.grad``: each inner node drops its gradient and
+        its vjp, with the arrays the vjp holds, once the vjp has run.  A
+        second ``backward()`` through the consumed graph raises
+        ``RuntimeError``.
+        """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() needs a scalar loss, got shape {self.data.shape}"
@@ -141,15 +148,22 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._parents and node._vjp is None:
+                raise RuntimeError(
+                    f"backward() through a graph already consumed: this {node.op} "
+                    "node's vjp ran and was freed by an earlier backward()"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
+            if node._vjp is None:  # a leaf
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
+            grads = node._vjp(node.grad)
+            node.grad = node._vjp = None
+            for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
@@ -370,18 +384,21 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
+    """(C*kh*kw, ho*wo) columns of one padded (C, H, W) sample."""
+    c = xp.shape[0]
+    cols = np.empty((c, kh, kw, ho, wo), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + s * ho : s, j : j + s * wo : s]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+            cols[:, i, j] = xp[:, i : i + s * ho : s, j : j + s * wo : s]
+    return cols.reshape(c * kh * kw, ho * wo)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of (N,C,H,W) input with (O,C,kh,kw) kernels.
 
-    ``stride`` and ``padding`` apply equally to both spatial axes.
+    ``stride`` and ``padding`` apply equally to both spatial axes.  Forward
+    and vjp build one sample's im2col columns at a time (a batch's block is
+    ~100 MB on audio-sized maps); an input that needs no gradient gets none.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d expects (N,C,H,W) input and (O,C,kh,kw) kernels")
@@ -397,26 +414,32 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             f"conv2d kernel {kh}x{kw} does not fit padded input {h + 2 * p}x{wd + 2 * p}"
         )
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = _im2col(xp, kh, kw, s, ho, wo)                   # (N, C*kh*kw, L)
     w2 = w.data.reshape(o, c * kh * kw)
-    out = np.matmul(w2[None], cols).reshape(n, o, ho, wo)
+    out = np.empty((n, o, ho * wo), dtype=np.result_type(xp, w2))
+    for b in range(n):
+        np.matmul(w2, _im2col(xp[b], kh, kw, s, ho, wo), out=out[b])
 
     def vjp(g):
         g2 = g.reshape(n, o, ho * wo)
-        # recompute cols rather than closing over them: conv activations on
-        # audio-sized maps make stored columns the dominant memory cost
-        cols_b = _im2col(xp, kh, kw, s, ho, wo)
-        dw = np.einsum("nol,nkl->ok", g2, cols_b, optimize=True)
-        dcols = np.matmul(w2.T[None], g2)                   # (N, K, L)
-        dcols = dcols.reshape(n, c, kh, kw, ho, wo)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += dcols[:, :, i, j]
-        dx = dxp[:, :, p : p + h, p : p + wd] if p else dxp
-        return (dx, dw.reshape(w.data.shape))
+        dw = np.zeros(w2.shape, dtype=out.dtype)
+        dxp = np.zeros_like(xp) if x.requires_grad else None
+        for b in range(n):
+            # recompute columns rather than closing over them: on audio-sized
+            # maps stored columns would be the dominant memory cost
+            cols_b = _im2col(xp[b], kh, kw, s, ho, wo)
+            dw += g2[b] @ cols_b.T
+            if dxp is None:
+                continue
+            dcols = (w2.T @ g2[b]).reshape(c, kh, kw, ho, wo)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[b, :, i : i + s * ho : s, j : j + s * wo : s] += dcols[:, i, j]
+        dw = dw.reshape(w.data.shape)
+        if dxp is None:
+            return (None, dw)
+        return (dxp[:, :, p : p + h, p : p + wd], dw)
 
-    return _node(out, (x, w), vjp, "conv2d")
+    return _node(out.reshape(n, o, ho, wo), (x, w), vjp, "conv2d")
 
 
 def maxpool2d(x: Tensor, window: int) -> Tensor:
@@ -630,6 +653,7 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = [np.empty_like(p.data) for p in self.params]
 
     def step(self) -> None:
         for p in self.params:
@@ -639,12 +663,22 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        # update = (m / c1) / (sqrt(v / c2) + eps), written in place through one
+        # scratch array per parameter; each operation is the one the formula
+        # implies, in its order, so the result is bit for bit the formula's
+        for p, m, v, u in zip(self.params, self._m, self._v, self._scratch):
             g = p.grad
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=u)
+            m += u
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p.data -= self.lr * update
+            np.multiply(g, g, out=u)
+            u *= 1.0 - b2
+            v += u
+            np.divide(v, c2, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            np.divide(m / c1, u, out=u)
+            u *= self.lr
+            p.data -= u
             p.grad = None

@@ -38,7 +38,7 @@ makes desk-scale end-to-end runs possible without instrument data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path

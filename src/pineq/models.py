@@ -52,7 +52,7 @@ from .autodiff import (
     softmax,
     take,
 )
-from .nn import LayerNorm, Linear, Module, SelfAttention, TransformerBlock
+from .nn import LayerNorm, Linear, Module, TransformerBlock
 
 __all__ = [
     "PATCH_SIZE",

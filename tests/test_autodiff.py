@@ -6,6 +6,8 @@ every backward rule is checked against central finite differences in
 float64.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,56 @@ def test_conv2d_against_direct_summation():
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
+def _f32(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+def test_conv2d_input_without_grad_gets_no_gradient():
+    rng = np.random.default_rng(21)
+    x, w = _f32(rng, 3, 2, 11, 9), Tensor(_f32(rng, 4, 2, 3, 3), requires_grad=True)
+    frozen = conv2d(Tensor(x), w, stride=2, padding=1)
+    g = _f32(rng, *frozen.shape)
+    dx, dw = frozen._vjp(g)
+    assert dx is None
+    dx_live, dw_live = conv2d(Tensor(x, requires_grad=True), w, stride=2, padding=1)._vjp(g)
+    assert dx_live is not None
+    np.testing.assert_array_equal(dw, dw_live)
+
+
+def _traced_peak(fn):
+    """(result, peak bytes numpy and Python allocated while ``fn`` ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stride,padding", [(2, 1), (1, 2)])
+def test_conv2d_runs_one_sample_at_a_time(stride, padding):
+    rng = np.random.default_rng(22)
+    n, c, h, wd, o, k = 8, 8, 24, 20, 4, 3
+    x, w = _f32(rng, n, c, h, wd), Tensor(_f32(rng, o, c, k, k))
+    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    g = _f32(rng, n, o, ho, wo)
+
+    def forward_and_dx():
+        y = conv2d(Tensor(x, requires_grad=True), w, stride, padding)
+        return y.data, y._vjp(g)[0]
+
+    (y, dx), peak = _traced_peak(forward_and_dx)
+    for b in range(n):
+        yb = conv2d(Tensor(x[b : b + 1], requires_grad=True), w, stride, padding)
+        np.testing.assert_array_equal(y[b : b + 1], yb.data)
+        np.testing.assert_array_equal(dx[b : b + 1], yb._vjp(g[b : b + 1])[0])
+    # the padded input, its gradient and the output, plus a few one-sample
+    # column blocks; a batch's column block (n of them) never exists at once
+    padded = n * c * (h + 2 * padding) * (wd + 2 * padding) * 4
+    sample_cols = c * k * k * ho * wo * 4
+    assert peak < 2 * padded + y.nbytes + 4 * sample_cols
+
+
 def test_conv2d_kernel_larger_than_input_raises():
     with pytest.raises(ShapeError):
         conv2d(t64(1, 1, 4, 4), t64(1, 1, 5, 5))
@@ -279,6 +331,43 @@ def test_gradients_accumulate_across_fanout():
     z = (y + y).sum()  # y used twice: dz/dx = 4
     z.backward()
     np.testing.assert_allclose(x.grad, np.full(3, 4.0))
+
+
+def _graph(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_frees_non_leaf_nodes_and_keeps_leaf_gradients():
+    x, w, b = t64(4, 3), t64(3, 2), t64(2)
+    loss = (softmax(matmul(x, w) + b, axis=1) * 2.0).sum()
+    nodes = _graph(loss)
+    inner = [n for n in nodes if n._parents]
+    assert inner and all(n._vjp is not None for n in inner)
+    loss.backward()
+    assert all(n.grad is None and n._vjp is None for n in inner)
+    assert all(t.grad is not None and t.grad.shape == t.shape for t in (x, w, b))
+
+
+def test_second_backward_over_a_consumed_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    sq = x * x
+    y = sq.sum()
+    y.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    x.grad = None
+    with pytest.raises(RuntimeError, match="already consumed"):
+        y.backward()
+    # a new root over part of the consumed graph fails the same way
+    with pytest.raises(RuntimeError, match="already consumed"):
+        (sq * 2.0).sum().backward()
+    assert x.grad is None
 
 
 def test_unused_branch_gets_no_gradient():
@@ -479,6 +568,28 @@ def test_adam_clears_gradients_after_step():
     opt = Adam([w])
     opt.step()
     assert w.grad is None
+
+
+def test_adam_float32_steps_run_in_place_and_match_the_formula():
+    rng = np.random.default_rng(23)
+    w = Tensor(_f32(rng, 256, 128), requires_grad=True)
+    data, want = w.data, w.data.copy()
+    m, v = np.zeros_like(want), np.zeros_like(want)
+    b1, b2, eps, lr = Adam.beta1, Adam.beta2, Adam.eps, 1e-2
+    opt = Adam([w], lr=lr)
+    for t in range(1, 4):
+        g = _f32(rng, *want.shape)
+        w.grad = g
+        _, peak = _traced_peak(opt.step)
+        # at most one parameter-sized temporary; written with temporaries the
+        # formula holds three at once
+        assert peak < 2 * g.nbytes
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        want -= lr * ((m / c1) / (np.sqrt(v / c2) + eps))
+        assert w.data is data and w.data.dtype == np.float32
+        np.testing.assert_array_equal(w.data, want)
 
 
 def test_adam_quadratic_converges_100x():

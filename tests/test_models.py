@@ -583,9 +583,28 @@ def test_float32_forward_and_backward_record_no_float64_node(kind):
         # a single-stream model reads only its own stream's index
         loss = weighted_smoothed_ce(model.logits(mel, img, ai, vi), labels,
                                     (1.0, 2.0, 1.0, 3.0), 0.1)
-    loss.backward()
     nodes = _tape(loss)
     assert any(n.op == "take" for n in nodes)
-    wide = sorted({n.op for n in nodes if n.data.dtype != np.float32
-                   or (n.grad is not None and n.grad.dtype != np.float32)})
-    assert not wide, f"{kind}: float32 input recorded non-float32 {wide} nodes"
+    wide = {n.op for n in nodes if n.data.dtype != np.float32}
+    # backward frees each inner node's gradient once its vjp has run, so
+    # record every gradient a vjp reads or returns while backward runs
+    ran = []
+
+    def recording(node):
+        vjp = node._vjp
+
+        def wrapped(g):
+            grads = vjp(g)
+            ran.append(node)
+            if any(a.dtype != np.float32 for a in (g, *grads) if a is not None):
+                wide.add(node.op)
+            return grads
+        return wrapped
+
+    inner = [n for n in nodes if n._vjp is not None]
+    for n in inner:
+        n._vjp = recording(n)
+    loss.backward()
+    assert len(ran) == len(inner)
+    wide |= {n.op for n in nodes if n.grad is not None and n.grad.dtype != np.float32}
+    assert not wide, f"{kind}: float32 input recorded non-float32 {sorted(wide)} nodes"
