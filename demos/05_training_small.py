@@ -36,8 +36,7 @@ pairs = sample_corpus_pairs(train_recs, "random", 4, seed=0)
 print(f"{len(train_recs)} train records x 4 pairs = "
       f"{sum(len(v) for v in pairs.values())} training examples")
 
-cfg = TrainConfig(model="cnn-unimodal", modality="audio", epochs=8,
-                  batch=4, seed=1)
+cfg = TrainConfig(model="cnn-audio", epochs=8, batch=4, seed=1)
 result = train(store, train_recs, pairs, cfg,
                architecture={"embed_dim": 16, "head_hidden": 16})
 print("epoch losses:")
@@ -46,8 +45,8 @@ for i, loss in enumerate(result.losses, 1):
 
 test_pairs = {r.record_id: build_test_pairs(r) for r in test_recs}
 matrix = evaluate(result.model, cfg, store, test_recs, test_pairs)
-row = ReportRow(model="cnn-unimodal", strategy="random",
+row = ReportRow(model=cfg.model, strategy="random",
                 samples=sum(len(v) for v in pairs.values()),
                 accuracy=accuracy(matrix), seed=1)
 print()
-print(format_report([row], matrices=[("cnn on held-out fruit", matrix)]))
+print(format_report([row], matrices=[(f"{cfg.model} on held-out fruit", matrix)]))

@@ -23,18 +23,17 @@ corpus = generate_synthetic(
                     image_width=32, image_height=24), tmp / "corpus")
 
 spec = ExperimentSpec(
-    models=("cnn",),
+    models=("cnn-audio", "cnn-visual"),  # the two single-stream baselines
     strategies=("random", "audio-major"),
     samples_per_record=(2, 4),
     seeds=(0, 1),
     epochs=2,
     batch=4,
 )
-# small architecture keeps this demo quick; drop the override to use the
-# full-size model
-result = run_experiment(spec, corpus,
-                        architectures={"cnn": {"embed_dim": 8,
-                                               "head_hidden": 6}})
+# small architectures keep this demo quick; drop the override to use the
+# full-size models
+small = {"embed_dim": 8, "head_hidden": 6}
+result = run_experiment(spec, corpus, architectures={m: small for m in spec.models})
 print(result.report_text())
 
 out = tmp / "results"

@@ -51,6 +51,7 @@ from .training import (
     FeatureStore,
     ReportRow,
     TrainConfig,
+    TrainResult,
     accuracy,
     build_model,
     evaluate,
@@ -210,7 +211,6 @@ def _spec_arg(opts: _Options, grid: bool) -> ExperimentSpec:
         lr=opts.get("lr", 1e-3, float),
         smoothing=opts.get("smoothing", 0.1, float),
         pretrain_steps=opts.get("pretrain-steps", 0, int),
-        modality=opts.get("modality", "audio"),
     )
 
 
@@ -219,34 +219,33 @@ def _spec_arg(opts: _Options, grid: bool) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def save_model(out: Path, model, model_name: str, cfg: TrainConfig,
-               architecture) -> Path:
-    """Write weights (PQCT + index) and a JSON sidecar describing the shape."""
+def save_model(out: Path, result: TrainResult) -> Path:
+    """Write weights (PQCT + index) and a JSON sidecar naming the model and
+    its architecture."""
     ckpt = out / "model.ckpt"
-    tensorio.save_checkpoint(ckpt, model.state_dict())
-    arch = (dataclasses.asdict(architecture)
-            if dataclasses.is_dataclass(architecture) else dict(architecture or {}))
-    meta = {"model": model_name, "kind": cfg.model, "modality": cfg.modality,
-            "architecture": arch}
+    tensorio.save_checkpoint(ckpt, result.model.state_dict())
+    arch = result.architecture
+    arch = dataclasses.asdict(arch) if dataclasses.is_dataclass(arch) else dict(arch or {})
+    meta = {"model": result.config.model, "architecture": arch}
     ckpt.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
     return ckpt
 
 
 def load_model(ckpt_path: Path):
-    """Rebuild the architecture from the sidecar and load the weights."""
+    """Rebuild the model the sidecar names and load the weights."""
     state = tensorio.load_checkpoint(ckpt_path)  # missing file -> data error
     sidecar = ckpt_path.with_suffix(".json")
     try:
         meta = json.loads(sidecar.read_text())
-        missing = [k for k in ("model", "kind", "modality", "architecture") if k not in meta]
+        missing = [k for k in ("model", "architecture") if k not in meta]
         if missing:
             raise ValueError(f"missing {', '.join(missing)}")
-        cfg = TrainConfig(model=meta["kind"], modality=meta["modality"])
+        cfg = TrainConfig(model=meta["model"])
         model = build_model(cfg, np.random.default_rng(0), meta["architecture"])
     except (TypeError, ValueError) as exc:  # malformed JSON, missing keys or bad values
         raise ValueError(f"{sidecar}: {exc}") from exc
     model.load_state_dict(state)
-    return model, cfg, meta
+    return model, cfg
 
 
 def _write(out: Path, name: str, text: str) -> None:
@@ -333,7 +332,7 @@ def cmd_train(opts: _Options) -> int:
                            header=opts.header())
     _write(out, "report.txt", report)
     _write(out, "loss.csv", format_loss_trace(result.losses))
-    save_model(out, result.model, cell.model, result.config, result.architecture)
+    save_model(out, result)
     print(f"test accuracy {cell.accuracy:.2f} over {cell.confusion.total} pairs; "
           f"checkpoint and report in {out}")
     return 0
@@ -343,7 +342,7 @@ def cmd_eval(opts: _Options) -> int:
     ckpt = opts.get("model", None)
     if not ckpt:
         raise UsageError("--model checkpoint path is required")
-    model, cfg, meta = load_model(Path(ckpt))  # before corpus resolution
+    model, cfg = load_model(Path(ckpt))  # before corpus resolution
     out = opts.out(required=False)
     load = _corpus_arg(opts, out)
     seed = opts.get("seed", 0, int, lambda s: s >= 0)
@@ -351,8 +350,8 @@ def cmd_eval(opts: _Options) -> int:
     _, test_recs, test_pairs = held_out(corpus, seed)
     confusion = evaluate(model, cfg, FeatureStore(corpus), test_recs, test_pairs)
     acc = accuracy(confusion)
-    row = ReportRow(meta["model"], "eval", confusion.total, acc, seed)
-    report = format_report([row], matrices=[(meta["model"], confusion)],
+    row = ReportRow(cfg.model, "eval", confusion.total, acc, seed)
+    report = format_report([row], matrices=[(cfg.model, confusion)],
                            header=opts.header())
     if out:
         _write(out, "report.txt", report)
@@ -389,7 +388,6 @@ def _add_common(p: _Parser, *names: str) -> None:
         "model": dict(help="model name or checkpoint path for eval"),
         "strategy": dict(help="pair sampling strategy"),
         "samples-per-record": dict(help="pairs sampled per record"),
-        "modality": dict(help="modality for cnn models (audio|visual)"),
         "out": dict(help="output directory"),
         "config": dict(help="key=value config file (flags take precedence)"),
     }
@@ -413,17 +411,16 @@ def build_parser() -> _Parser:
                     "samples-per-record", "seed", "out", "config"]),
         "train": (cmd_train, "run one experiment cell and checkpoint its model",
                   ["corpus", "synthetic", "records", "corpus-seed", "model",
-                   "modality", "strategy", "samples-per-record", "seed",
-                   "epochs", "batch", "lr", "smoothing", "pretrain-steps",
-                   "out", "config"]),
+                   "strategy", "samples-per-record", "seed", "epochs", "batch",
+                   "lr", "smoothing", "pretrain-steps", "out", "config"]),
         "eval": (cmd_eval, "score a checkpoint on held-out records",
                  ["model", "corpus", "synthetic", "records", "corpus-seed",
                   "seed", "out", "config"]),
         "experiment": (cmd_experiment, "run the full evaluation grid",
                        ["corpus", "synthetic", "records", "corpus-seed",
-                        "model", "modality", "strategy", "samples-per-record",
-                        "seed", "epochs", "batch", "lr", "smoothing",
-                        "pretrain-steps", "out", "config"]),
+                        "model", "strategy", "samples-per-record", "seed",
+                        "epochs", "batch", "lr", "smoothing", "pretrain-steps",
+                        "out", "config"]),
     }
     for name, (func, help_text, flags) in defs.items():
         p = sub.add_parser(name, prog=f"pineq {name}", help=help_text,

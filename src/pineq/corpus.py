@@ -51,7 +51,6 @@ from .image import write_ppm
 
 __all__ = [
     "CorpusError",
-    "EmptyClassError",
     "InfeasibleSampleError",
     "QualityLabel",
     "MediaMeta",
@@ -73,10 +72,6 @@ __all__ = [
 
 class CorpusError(Exception):
     """Structurally invalid corpus data (manifest, metadata, or files)."""
-
-
-class EmptyClassError(CorpusError):
-    """A grade with zero records where at least one is required."""
 
 
 class InfeasibleSampleError(CorpusError):
@@ -193,16 +188,14 @@ def class_weights(labels: Sequence[QualityLabel]) -> List[Fraction]:
     """Inverse-frequency weights ``w_c = N / n_c`` as exact rationals.
 
     Kept rational so that ``w_c * n_c == N`` holds exactly; convert to
-    float only where the numbers enter a loss.
+    float only where the numbers enter a loss. A grade with no label gets
+    weight 1, which no loss reads, since no example carries that grade.
     """
     counts = [0] * len(QualityLabel)
     for lab in labels:
         counts[int(lab)] += 1
-    empty = [QualityLabel(i).name for i, c in enumerate(counts) if c == 0]
-    if empty:
-        raise EmptyClassError(f"no records for grade(s) {', '.join(empty)}")
     total = len(labels)
-    return [Fraction(total, c) for c in counts]
+    return [Fraction(total, c) if c else Fraction(1) for c in counts]
 
 
 def stratified_split(

@@ -3,13 +3,15 @@
 For every (model, strategy, samples-per-record, seed) cell this module
 splits the corpus 4:1 stratified by grade, samples training pairs with the
 requested strategy, builds the fixed evaluation pairs for the held-out
-records, trains from scratch, and scores a confusion matrix. Per-seed rows
-are then averaged into aggregate rows, and everything is rendered as a
-plain-text report plus CSV (and per-cell loss traces). Every cell is
-drawn once, before the first one trains, and trains on that draw, so a
-grid that the sampler cannot draw raises its ``InfeasibleSampleError``,
-and a split that holds no record out its ``CorpusError``, before any
-cell trains.
+records, trains from scratch, and scores a confusion matrix. A cell's
+model is a name of ``training.MODELS``, which fixes both the architecture
+and the streams it reads, so one grid can hold, say, ``cnn-audio`` and
+``cnn-visual`` side by side. Per-seed rows are then averaged into
+aggregate rows, and everything is rendered as a plain-text report plus
+CSV (and per-cell loss traces). Every cell is drawn once, before the
+first one trains, and trains on that draw, so a grid that the sampler
+cannot draw raises its ``InfeasibleSampleError``, and a split that holds
+no record out its ``CorpusError``, before any cell trains.
 
 The whole run is a pure function of (spec, corpus): reruns reproduce the
 report byte for byte. Independent cells may run in parallel worker
@@ -26,7 +28,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .corpus import (
 from .training import (
     ConfusionMatrix,
     FeatureStore,
-    MODALITIES,
+    MODELS,
     ReportRow,
     TrainConfig,
     TrainResult,
@@ -52,15 +54,6 @@ from .training import (
     train,
 )
 
-# CLI-facing model names -> (training kind, fixed modality or None)
-MODEL_NAMES: Dict[str, Tuple[str, Optional[str]]] = {
-    "cnn": ("cnn-unimodal", None),
-    "ensemble": ("ensemble", None),
-    "crossmodal": ("crossmodal", None),
-    "crossmodal-audio": ("crossmodal-unimodal", "audio"),
-    "crossmodal-visual": ("crossmodal-unimodal", "visual"),
-}
-
 STRATEGIES = ("random", "audio-major", "visual-major")
 
 
@@ -68,7 +61,7 @@ STRATEGIES = ("random", "audio-major", "visual-major")
 class ExperimentSpec:
     """The full grid plus shared training hyper-parameters."""
 
-    models: Tuple[str, ...]
+    models: Tuple[str, ...]  # names of training.MODELS
     strategies: Tuple[str, ...]
     samples_per_record: Tuple[int, ...]
     seeds: Tuple[int, ...]
@@ -77,31 +70,27 @@ class ExperimentSpec:
     lr: float = 1e-3
     smoothing: float = 0.1
     pretrain_steps: int = 0
-    modality: str = "audio"  # modality of plain-"cnn" cells
 
     def __post_init__(self):
-        for name, values, valid in (("models", self.models, MODEL_NAMES),
+        for name, values, valid in (("models", self.models, MODELS),
                                     ("strategies", self.strategies, STRATEGIES)):
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             unknown = [v for v in values if v not in valid]
             if unknown:
-                raise ValueError(f"unknown {name}: {unknown}")
+                raise ValueError(f"unknown {name}: {unknown}; "
+                                 f"choose from {', '.join(valid)}")
         if not self.samples_per_record or any(s < 1 for s in self.samples_per_record):
             raise ValueError("samples_per_record must be non-empty positive ints")
         if not self.seeds or any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-empty non-negative ints")
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}")
         # every model's cells must be valid training runs, checked up front
         for model in self.models:
             self.cell_config(model, seed=int(self.seeds[0]))
 
-    def cell_config(self, model_name: str, seed: int) -> TrainConfig:
-        kind, fixed_modality = MODEL_NAMES[model_name]
-        return TrainConfig(model=kind, modality=fixed_modality or self.modality,
-                           epochs=self.epochs, batch=self.batch, lr=self.lr,
-                           smoothing=self.smoothing, seed=seed,
+    def cell_config(self, model: str, seed: int) -> TrainConfig:
+        return TrainConfig(model=model, epochs=self.epochs, batch=self.batch,
+                           lr=self.lr, smoothing=self.smoothing, seed=seed,
                            pretrain_steps=self.pretrain_steps)
 
     def cells(self) -> List[Tuple[str, str, int, int]]:
@@ -256,7 +245,6 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
         f"lr: {spec.lr}",
         f"smoothing: {spec.smoothing}",
         f"pretrain-steps: {spec.pretrain_steps}",
-        f"modality: {spec.modality}",
     )
     return ExperimentResult(spec, header, tuple(outcomes), rows, aggregates,
                             matrices)

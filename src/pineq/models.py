@@ -216,9 +216,6 @@ class CnnClassifier(Module):
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
         return _rows(self.head(self.backbone(xt)), index)
 
-    def predict_proba(self, x: np.ndarray | Tensor) -> Tensor:
-        return softmax(self.forward(x), axis=-1)
-
     def logits(self, mel: np.ndarray | None, image: np.ndarray | None,
                audio_index=None, visual_index=None) -> Tensor:
         """(B, classes) logits of the one stream given, the other ``None``."""
@@ -249,10 +246,6 @@ class EnsembleModel(Module):
         a = self.audio_net(mt.reshape(n, 1, t, f))
         v = self.visual_net(it)
         return self.head(_paired(a, v, audio_index, visual_index))
-
-    def predict_proba(self, mel, image) -> Tensor:
-        """Grade probabilities: softmax over the fused logits."""
-        return softmax(self.forward(mel, image), axis=-1)
 
     def logits(self, mel: np.ndarray, image: np.ndarray,
                audio_index=None, visual_index=None) -> Tensor:

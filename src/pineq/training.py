@@ -8,6 +8,11 @@ This module connects the preprocessing front ends to the classifiers:
   and photo of a batch once however many pairs share it.
 * :func:`weighted_smoothed_ce` is the training objective — class-weighted
   cross-entropy against label-smoothed targets.
+* :data:`MODELS` names every model this code trains, and each name is
+  the only description of its model: ``cnn-audio`` and ``cnn-visual`` are
+  the single-stream CNNs, ``ensemble`` their late fusion, ``crossmodal``
+  the fused token encoder, and ``crossmodal-audio``/``crossmodal-visual``
+  that encoder read through one stream.
 * :func:`train` runs seeded mini-batch optimization (optionally preceded by
   masked-reconstruction pretraining for the token encoder) and returns the
   model plus a per-epoch loss trace; the result is a pure function of the
@@ -30,7 +35,7 @@ import numpy as np
 
 from .audio import MEL_BANDS, MEL_FRAMES, preprocess_audio
 from .autodiff import Adam, Tensor, log_softmax, no_grad
-from .corpus import Corpus, MediaMeta, PineappleRecord
+from .corpus import Corpus, MediaMeta, PineappleRecord, class_weights
 from .image import TARGET_SIZE, preprocess_image
 from .models import (
     CnnClassifier,
@@ -48,8 +53,16 @@ from .nn import Module
 AUDIO_FEATURE_MEAN = -2.0
 AUDIO_FEATURE_SCALE = 4.0
 
-MODEL_KINDS = ("cnn-unimodal", "ensemble", "crossmodal", "crossmodal-unimodal")
 MODALITIES = ("audio", "visual")
+# every model name -> the input streams its model reads
+MODELS: Dict[str, Tuple[str, ...]] = {
+    "cnn-audio": ("audio",),
+    "cnn-visual": ("visual",),
+    "ensemble": MODALITIES,
+    "crossmodal": MODALITIES,
+    "crossmodal-audio": ("audio",),
+    "crossmodal-visual": ("visual",),
+}
 N_CLASSES = 4
 
 
@@ -187,10 +200,9 @@ def accuracy(m: ConfusionMatrix) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyper-parameters for one training run."""
+    """Hyper-parameters for one training run; ``model`` is a :data:`MODELS` name."""
 
     model: str = "crossmodal"
-    modality: str = "audio"
     epochs: int = 10
     batch: int = 16
     lr: float = 1e-3
@@ -199,10 +211,9 @@ class TrainConfig:
     pretrain_steps: int = 0
 
     def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.model!r}")
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}")
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}; "
+                             f"choose from {', '.join(MODELS)}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch < 1:
@@ -213,7 +224,7 @@ class TrainConfig:
             raise ValueError("smoothing must lie in [0, 1)")
         if self.pretrain_steps < 0:
             raise ValueError("pretrain_steps must be >= 0")
-        if self.pretrain_steps and self.model in ("cnn-unimodal", "ensemble"):
+        if self.pretrain_steps and not self.model.startswith("crossmodal"):
             raise ValueError(f"pretraining applies only to crossmodal kinds, not {self.model}")
 
 
@@ -238,21 +249,14 @@ def _collect_examples(records: Sequence[PineappleRecord],
     return examples
 
 
-def _derive_weights(labels: np.ndarray) -> Tuple[float, float, float, float]:
-    """Inverse-frequency weights over the examples; absent classes get 1."""
-    counts = np.bincount(labels, minlength=N_CLASSES)
-    total = counts.sum()
-    return tuple(total / c if c else 1.0 for c in counts)
-
-
 def build_model(cfg: TrainConfig, rng: np.random.Generator,
                 architecture=None) -> Module:
-    """Instantiate the model kind named by ``cfg`` with seeded weights.
+    """Instantiate the model named by ``cfg`` with seeded weights.
 
-    ``architecture`` holds keyword overrides; the crossmodal kinds also
+    ``architecture`` holds keyword overrides; the crossmodal models also
     take a ready ``CrossModalConfig``.
     """
-    if cfg.model in ("crossmodal", "crossmodal-unimodal"):
+    if cfg.model.startswith("crossmodal"):
         if architecture is None:
             architecture = CrossModalConfig()
         elif isinstance(architecture, Mapping):
@@ -261,14 +265,14 @@ def build_model(cfg: TrainConfig, rng: np.random.Generator,
     arch = dict(architecture or {})
     if cfg.model == "ensemble":
         return EnsembleModel(rng, **arch)
-    if cfg.modality == "audio":
+    if _streams(cfg) == ("audio",):
         return CnnClassifier(rng, 1, (MEL_FRAMES, MEL_BANDS), **arch)
     return CnnClassifier(rng, 3, (TARGET_SIZE, TARGET_SIZE), **arch)
 
 
 def _streams(cfg: TrainConfig) -> Tuple[str, ...]:
-    """The input streams a run reads: both for the fused kinds, else its modality."""
-    return MODALITIES if cfg.model in ("ensemble", "crossmodal") else (cfg.modality,)
+    """The input streams a run reads, as :data:`MODELS` names them."""
+    return MODELS[cfg.model]
 
 
 def trainable_parameters(model: Module, cfg: TrainConfig) -> List[Tensor]:
@@ -276,7 +280,7 @@ def trainable_parameters(model: Module, cfg: TrainConfig) -> List[Tensor]:
 
     A single-stream run through the token encoder never touches the other
     stream's projection/position/type/block weights (named after their
-    modality), so those are left out of the optimizer.
+    stream), so those are left out of the optimizer.
     """
     unread = tuple(m for m in MODALITIES if m not in _streams(cfg))
     return [p for name, p in model.named_parameters().items()
@@ -360,14 +364,14 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
     Deterministic per seed: model initialization, pretraining masks, and
     epoch shuffles all derive from ``cfg.seed`` through separate streams.
     Class weights are the inverse example frequencies over the training
-    set. Returns the trained model and per-epoch weighted mean losses.
-    A non-finite step loss raises ``ValueError`` naming the step.
+    set (``corpus.class_weights``). Returns the trained model and per-epoch
+    weighted mean losses. A non-finite step loss raises ``ValueError`` naming the step.
     """
     examples = _collect_examples(records, pairs_by_id)
     if not examples:
         raise ValueError("training set is empty")
     labels = np.array([int(rec.label) for rec, _, _ in examples])
-    weights = _derive_weights(labels)
+    weights = np.array([float(w) for w in class_weights(labels)])
 
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
@@ -395,7 +399,7 @@ def train(store: FeatureStore, records: Sequence[PineappleRecord],
                                         cfg.smoothing)
             step += 1
             value = _step(opt, loss, step, "training")
-            wsum = float(np.asarray(weights, dtype=np.float64)[labels[idx]].sum())
+            wsum = float(weights[labels[idx]].sum())
             num += value * wsum
             den += wsum
         epoch_losses.append(num / den)

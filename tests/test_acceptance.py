@@ -450,10 +450,10 @@ def test_criterion_8_experiment_determinism(tmp_path):
     corpus = generate_synthetic(
         SyntheticConfig(records=8, seed=5, audio_seconds=0.25,
                         image_width=32, image_height=24), tmp_path / "c8")
-    spec = ExperimentSpec(models=("cnn",), strategies=("random", "audio-major"),
+    spec = ExperimentSpec(models=("cnn-audio",), strategies=("random", "audio-major"),
                           samples_per_record=(2,), seeds=(0, 1), epochs=1,
                           batch=4)
-    arch = {"cnn": {"embed_dim": 8, "head_hidden": 6}}
+    arch = {"cnn-audio": {"embed_dim": 8, "head_hidden": 6}}
     store = FeatureStore(corpus)
     r1 = run_experiment(spec, corpus, architectures=arch, store=store)
     r2 = run_experiment(spec, corpus, architectures=arch, store=store)

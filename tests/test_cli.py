@@ -1,17 +1,26 @@
 """End-to-end command-line tests driven through main()'s exit codes."""
 
+import dataclasses
+import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pineq
 from pineq import tensorio
-from pineq.cli import main, read_config
+from pineq.cli import build_parser, load_model, main, read_config
 from pineq.corpus import load_corpus, sample_corpus_pairs, stratified_split
+from pineq.models import CrossModalConfig, CrossModalEncoder
+from pineq.training import MODELS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +36,7 @@ def corpus_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def trained_dir(corpus_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
-    rc = main(["train", "--corpus", str(corpus_dir), "--model", "cnn",
+    rc = main(["train", "--corpus", str(corpus_dir), "--model", "cnn-audio",
                "--strategy", "random", "--samples-per-record", "2",
                "--epochs", "1", "--batch", "4", "--seed", "0",
                "--out", str(out)])
@@ -40,6 +49,23 @@ def test_help_exits_zero(capsys):
     assert "synth" in capsys.readouterr().out
     assert main(["train", "--help"]) == 0
     assert "--samples-per-record" in capsys.readouterr().out
+
+
+def test_readme_commands_parse_and_name_known_models():
+    # every `pineq <command> ...` line of a README code block, with its
+    # backslash continuations joined; parsing checks each flag and runs nothing
+    commands = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(), re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("pineq "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    assert {c[0] for c in commands} >= {"train", "eval", "experiment"}
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)  # an unknown flag raises UsageError
+        if args.command in ("train", "experiment") and args.model is not None:
+            unknown = set(args.model.split(",")) - set(MODELS)
+            assert not unknown, f"README: pineq {' '.join(argv)}"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -85,28 +111,30 @@ def test_train_writes_artifacts(trained_dir):
                  "report.txt", "loss.csv"):
         assert (trained_dir / name).exists(), name
     report = (trained_dir / "report.txt").read_text()
-    assert "cnn" in report and "# model: cnn" in report
+    assert "# model: cnn-audio" in report
     assert (trained_dir / "loss.csv").read_text().startswith("epoch,loss\n")
+    assert json.loads((trained_dir / "model.json").read_text()) == \
+        {"model": "cnn-audio", "architecture": {}}
     state = tensorio.load_checkpoint(trained_dir / "model.ckpt")
     assert any(k.startswith("backbone.") for k in state)
 
 
 def test_train_is_one_experiment_cell(corpus_dir, trained_dir, tmp_path, capsys):
     out = tmp_path / "grid"
-    assert main(["experiment", "--corpus", str(corpus_dir), "--model", "cnn",
+    assert main(["experiment", "--corpus", str(corpus_dir), "--model", "cnn-audio",
                  "--strategy", "random", "--samples-per-record", "2",
                  "--epochs", "1", "--batch", "4", "--seed", "0",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    assert (out / "loss_cnn_random_s2_seed0.csv").read_bytes() == \
+    assert (out / "loss_cnn-audio_random_s2_seed0.csv").read_bytes() == \
         (trained_dir / "loss.csv").read_bytes()
     cell_row = (out / "results.csv").read_text().splitlines()[1].split(",")
     report = (trained_dir / "report.txt").read_text()
-    row = [l for l in report.splitlines() if l.startswith("cnn")][0].split()
-    assert row == ["cnn", "random", cell_row[2], cell_row[3],
+    row = [l for l in report.splitlines() if l.startswith("cnn-audio")][0].split()
+    assert row == ["cnn-audio", "random", cell_row[2], cell_row[3],
                    f"{float(cell_row[4]):.2f}"]
     echoed = [l for l in report.splitlines() if l.startswith("# ")]
-    assert "# modality: audio" in echoed
+    assert "# model: cnn-audio" in echoed
     grid_report = (out / "report.txt").read_text().splitlines()
     assert grid_report[:len(echoed)] == echoed  # same settings, same order
 
@@ -120,7 +148,7 @@ def test_corrupt_wav_is_data_error_naming_the_file(corpus_dir, tmp_path, capsys)
     rec = train_recs[0]
     meta = rec.audio[pairs[rec.record_id][0][0]]
     corpus.media_path(meta).write_bytes(b"not a wav file at all")
-    rc = main(["train", "--corpus", str(corpus_copy), "--model", "cnn",
+    rc = main(["train", "--corpus", str(corpus_copy), "--model", "cnn-audio",
                "--strategy", "random", "--samples-per-record", "2",
                "--epochs", "1", "--batch", "4", "--seed", "0",
                "--out", str(tmp_path / "out")])
@@ -141,7 +169,7 @@ def test_eval_reproduces_train_accuracy(corpus_dir, trained_dir, capsys):
                  "--corpus", str(corpus_dir), "--seed", "0"]) == 0
     eval_line = capsys.readouterr().out.strip().splitlines()[-1]
     report = (trained_dir / "report.txt").read_text()
-    acc = [l for l in report.splitlines() if l.startswith("cnn")][0].split()[-1]
+    acc = [l for l in report.splitlines() if l.startswith("cnn-audio")][0].split()[-1]
     assert f"test accuracy {acc}" in eval_line
 
 
@@ -204,6 +232,16 @@ def test_bad_value_is_usage_error_that_writes_nothing(tmp_path, capsys, request,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_unknown_model_is_usage_error_listing_the_models(tmp_path, capsys, command):
+    out = tmp_path / "d"
+    assert main([command, "--synthetic", "--model", "cnn", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "unknown models: ['cnn']; choose from cnn-audio, cnn-visual, ensemble, "
+        "crossmodal, crossmodal-audio, crossmodal-visual\n")
+    assert not out.exists()
+
+
 def test_bad_value_gives_one_message_from_flag_or_config(corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = abc\n")
@@ -227,11 +265,12 @@ def test_mixed_grid_with_pretraining_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sidecar, reason", [
-    ('{"kind": ', "Expecting value"),
-    ('{"model": "cnn", "modality": "audio", "architecture": {}}', "missing kind"),
-    ('{"model": "cnn", "kind": "cnn-unimodal", "modality": "audio"}',
-     "missing architecture"),
-], ids=["corrupt-json", "no-kind", "no-architecture"])
+    ('{"model": ', "Expecting value"),
+    ('{"architecture": {}}', "missing model"),
+    ('{"model": "cnn-audio"}', "missing architecture"),
+    ('{"model": "cnn", "kind": "cnn-unimodal", "modality": "audio", "architecture": {}}',
+     "unknown model 'cnn'; choose from cnn-audio, cnn-visual,"),
+], ids=["corrupt-json", "no-model", "no-architecture", "old-cnn"])
 def test_eval_bad_sidecar_is_data_error_naming_it(trained_dir, tmp_path, capsys,
                                                    sidecar, reason):
     for name in ("model.ckpt", "model.ckpt.idx"):
@@ -245,6 +284,25 @@ def test_eval_bad_sidecar_is_data_error_naming_it(trained_dir, tmp_path, capsys,
     assert reason in err
 
 
+def test_old_sidecar_with_a_current_model_name_loads(corpus_dir, tmp_path, capsys):
+    arch = CrossModalConfig(token_dim=8, heads=2, modality_blocks=1, joint_blocks=1,
+                            head_hidden=6)
+    model = CrossModalEncoder(arch, np.random.default_rng(3))
+    tensorio.save_checkpoint(tmp_path / "model.ckpt", model.state_dict())
+    # the sidecar as it was written with kind and modality keys, now ignored
+    (tmp_path / "model.json").write_text(json.dumps({
+        "model": "crossmodal-audio", "kind": "crossmodal-unimodal",
+        "modality": "audio", "architecture": dataclasses.asdict(arch)}))
+    loaded, cfg = load_model(tmp_path / "model.ckpt")
+    assert cfg.model == "crossmodal-audio"
+    for key, value in model.state_dict().items():
+        np.testing.assert_array_equal(loaded.state_dict()[key], value)
+    assert main(["eval", "--model", str(tmp_path / "model.ckpt"),
+                 "--corpus", str(corpus_dir), "--out", str(tmp_path / "e")]) == 0
+    capsys.readouterr()
+    assert "crossmodal-audio  eval" in (tmp_path / "e" / "report.txt").read_text()
+
+
 def test_malformed_manifest_is_data_error(tmp_path, capsys):
     bad = tmp_path / "manifest.txt"
     bad.write_text("counts 2 2\nrecord a Ripe\n")
@@ -256,7 +314,7 @@ def test_config_file_precedence_and_echo(corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "# tiny grid\n"
-        "model = cnn\n"
+        "model = cnn-audio\n"
         "strategy = random\n"
         "samples-per-record = 2\n"
         "seed = 0,1\n"
@@ -270,11 +328,11 @@ def test_config_file_precedence_and_echo(corpus_dir, tmp_path, capsys):
     assert rc == 0
     report = (out / "report.txt").read_text()
     assert "# epochs: 1" in report          # flag beats config file
-    assert "# model: cnn" in report
+    assert "# model: cnn-audio" in report
     assert "# seed: 0,1" in report
     csv_lines = (out / "results.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 1 + 2 + 1       # header, two seeds, one aggregate
-    assert (out / "loss_cnn_random_s2_seed1.csv").exists()
+    assert (out / "loss_cnn-audio_random_s2_seed1.csv").exists()
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochs\n")
@@ -284,13 +342,13 @@ def test_config_file_precedence_and_echo(corpus_dir, tmp_path, capsys):
 
 
 def test_experiment_rerun_is_byte_identical(corpus_dir, tmp_path, capsys):
-    argv = ["experiment", "--corpus", str(corpus_dir), "--model", "cnn",
+    argv = ["experiment", "--corpus", str(corpus_dir), "--model", "cnn-audio",
             "--strategy", "random", "--samples-per-record", "2",
             "--seed", "0", "--epochs", "1", "--batch", "4"]
     assert main(argv + ["--out", str(tmp_path / "r1")]) == 0
     assert main(argv + ["--out", str(tmp_path / "r2")]) == 0
     capsys.readouterr()
-    for name in ("report.txt", "results.csv", "loss_cnn_random_s2_seed0.csv"):
+    for name in ("report.txt", "results.csv", "loss_cnn-audio_random_s2_seed0.csv"):
         assert (tmp_path / "r1" / name).read_bytes() == \
                (tmp_path / "r2" / name).read_bytes(), name
 

@@ -1,5 +1,7 @@
 """Corpus management tests: manifests, splits, pair sampling, generator."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from pineq import audio as audio_mod
 from pineq import image as image_mod
 from pineq.corpus import (
     CorpusError,
-    EmptyClassError,
     InfeasibleSampleError,
     MediaMeta,
     PineappleRecord,
@@ -126,10 +127,11 @@ def test_class_weights_exact_rationals():
     assert float(w[3]) == 10.0
 
 
-def test_class_weights_empty_class_raises():
+def test_class_weights_absent_grade_gets_one():
     records = make_records([5, 5, 5, 0])
-    with pytest.raises(EmptyClassError):
-        class_weights([r.label for r in records])
+    w = class_weights([r.label for r in records])
+    assert w == [Fraction(3), Fraction(3), Fraction(3), Fraction(1)]
+    assert class_weights([QualityLabel.SS]) == [1, 1, 1, 1]  # one record
 
 
 # ---------------------------------------------------------------------------

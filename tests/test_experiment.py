@@ -13,6 +13,7 @@ from pineq.experiment import ExperimentSpec, run_experiment, write_outputs
 from pineq.training import FeatureStore
 
 TINY_CNN = {"embed_dim": 8, "head_hidden": 6}
+CNN_ARCH = {"cnn-audio": TINY_CNN, "cnn-visual": TINY_CNN}
 TINY_XM = CrossModalConfig(token_dim=8, heads=2, modality_blocks=1,
                            joint_blocks=1, head_hidden=6)
 
@@ -30,7 +31,7 @@ def store(corpus):
 
 
 def cnn_spec(**kw):
-    base = dict(models=("cnn",), strategies=("random",), samples_per_record=(2,),
+    base = dict(models=("cnn-audio",), strategies=("random",), samples_per_record=(2,),
                 seeds=(0,), epochs=1, batch=8)
     base.update(kw)
     return ExperimentSpec(**base)
@@ -40,8 +41,8 @@ def test_spec_validation():
     cnn_spec()  # valid
     with pytest.raises(ValueError):
         cnn_spec(models=())
-    with pytest.raises(ValueError):
-        cnn_spec(models=("resnext",))
+    with pytest.raises(ValueError, match=r"^unknown models: \['cnn'\]; choose from cnn-audio,"):
+        cnn_spec(models=("cnn",))
     with pytest.raises(ValueError):
         cnn_spec(strategies=("greedy",))
     with pytest.raises(ValueError):
@@ -52,8 +53,6 @@ def test_spec_validation():
         cnn_spec(seeds=(0, -1))
     with pytest.raises(ValueError):
         cnn_spec(smoothing=1.5)
-    with pytest.raises(ValueError):
-        cnn_spec(modality="haptic")
 
 
 @pytest.mark.parametrize("models", [("crossmodal", "ensemble"),
@@ -69,7 +68,7 @@ def test_mixed_grid_with_pretraining_fails_at_spec(models):
 def test_infeasible_samples_rejected_before_training(corpus, store):
     spec = cnn_spec(samples_per_record=(400,))  # J*K = 320
     with pytest.raises(InfeasibleSampleError):
-        run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=store)
+        run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -84,7 +83,7 @@ def test_infeasible_cell_fails_before_any_cell_trains(corpus, store, monkeypatch
     monkeypatch.setenv("PQC_THREADS", threads)
     spec = cnn_spec(strategies=("random", "audio-major"), samples_per_record=(200,))
     with pytest.raises(InfeasibleSampleError, match="pool of 8 views"):
-        run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=store)
+        run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
     assert not (tmp_path / "trained").exists()
 
 
@@ -104,7 +103,7 @@ def test_each_cell_is_drawn_once(corpus, store, monkeypatch, tmp_path, threads):
     else:
         monkeypatch.setenv("PQC_THREADS", threads)
     spec = cnn_spec(strategies=("random", "audio-major"), seeds=(0, 1))
-    run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=store)
+    run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
     assert len(calls.read_text().splitlines()) == len(spec.cells()) == 4
 
 
@@ -120,13 +119,13 @@ def test_split_that_holds_no_record_out_fails_before_training(tmp_path, monkeypa
 
     monkeypatch.setattr(experiment, "train", spy)
     with pytest.raises(CorpusError, match="^seed 5: the split of 6 records holds none out"):
-        run_experiment(cnn_spec(seeds=(5,)), small, architectures={"cnn": TINY_CNN})
+        run_experiment(cnn_spec(seeds=(5,)), small, architectures=CNN_ARCH)
 
 
 def test_cartesian_rows_ordering_and_disjointness(corpus, store):
     spec = cnn_spec(strategies=("random", "audio-major", "visual-major"),
                     samples_per_record=(2, 4), seeds=(0, 1))
-    result = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN},
+    result = run_experiment(spec, corpus, architectures=CNN_ARCH,
                             store=store)
     assert len(result.rows) == 3 * 2 * 2  # strategies x S x seeds
     assert len(result.aggregates) == 3 * 2
@@ -160,12 +159,26 @@ def test_aggregate_is_mean_over_seeds_and_matrices_merge(corpus, store):
     assert merged.total == sum(c.confusion.total for c in result.cells)
 
 
+def test_one_grid_runs_both_cnn_baselines_as_single_model_runs(corpus, store):
+    both = run_experiment(cnn_spec(models=("cnn-audio", "cnn-visual")), corpus,
+                          architectures=CNN_ARCH, store=store)
+    assert [c.model for c in both.cells] == ["cnn-audio", "cnn-visual"]
+    for cell in both.cells:
+        (alone,) = run_experiment(cnn_spec(models=(cell.model,)), corpus,
+                                  architectures=CNN_ARCH, store=store).cells
+        assert cell.losses == alone.losses, cell.model
+        assert cell.accuracy == alone.accuracy, cell.model
+        np.testing.assert_array_equal(cell.confusion.counts, alone.confusion.counts)
+    # the two baselines read different streams, so they train different models
+    assert both.cells[0].losses != both.cells[1].losses
+
+
 def test_report_header_echoes_effective_config(corpus, store):
     spec = cnn_spec(epochs=2, lr=0.005)
-    result = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN},
+    result = run_experiment(spec, corpus, architectures=CNN_ARCH,
                             store=store)
     text = result.report_text()
-    for needle in ("records: 8", "epochs: 2", "lr: 0.005", "models: cnn",
+    for needle in ("records: 8", "epochs: 2", "lr: 0.005", "models: cnn-audio",
                    "strategies: random", "samples-per-record: 2", "seeds: 0"):
         assert f"# {needle}" in text, needle
     assert "Mean over seeds" in text
@@ -173,8 +186,8 @@ def test_report_header_echoes_effective_config(corpus, store):
 
 def test_rerun_reproduces_outputs_byte_for_byte(corpus, store, tmp_path):
     spec = cnn_spec(strategies=("random", "audio-major"))
-    r1 = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=store)
-    r2 = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=store)
+    r1 = run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
+    r2 = run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
     assert r1.report_text() == r2.report_text()
     assert r1.csv_text() == r2.csv_text()
     d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -183,8 +196,8 @@ def test_rerun_reproduces_outputs_byte_for_byte(corpus, store, tmp_path):
     for name in ("report.txt", "results.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     traces = sorted(p.name for p in d1.glob("loss_*.csv"))
-    assert traces == ["loss_cnn_audio-major_s2_seed0.csv",
-                      "loss_cnn_random_s2_seed0.csv"]
+    assert traces == ["loss_cnn-audio_audio-major_s2_seed0.csv",
+                      "loss_cnn-audio_random_s2_seed0.csv"]
     for name in traces:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
         assert (d1 / name).read_text().startswith("epoch,loss\n")
@@ -192,10 +205,10 @@ def test_rerun_reproduces_outputs_byte_for_byte(corpus, store, tmp_path):
 
 def test_parallel_workers_match_serial(corpus, store, monkeypatch):
     spec = cnn_spec(seeds=(0, 1))
-    serial = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN},
+    serial = run_experiment(spec, corpus, architectures=CNN_ARCH,
                             store=store)
     monkeypatch.setenv("PQC_THREADS", "2")
-    parallel = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN})
+    parallel = run_experiment(spec, corpus, architectures=CNN_ARCH)
     assert parallel.report_text() == serial.report_text()
     assert parallel.csv_text() == serial.csv_text()
 
@@ -214,9 +227,9 @@ def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatc
     for name in ("audio", "photos"):
         (tmp_path / "corpus" / name).rename(tmp_path / f"gone_{name}")
     spec = cnn_spec(seeds=(0, 1))
-    serial = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=warm)
+    serial = run_experiment(spec, corpus, architectures=CNN_ARCH, store=warm)
     monkeypatch.setenv("PQC_THREADS", "2")
-    parallel = run_experiment(spec, corpus, architectures={"cnn": TINY_CNN}, store=warm)
+    parallel = run_experiment(spec, corpus, architectures=CNN_ARCH, store=warm)
     assert parallel.report_text() == serial.report_text()
     assert parallel.csv_text() == serial.csv_text()
 
@@ -226,4 +239,4 @@ def test_workers_without_fork_are_a_named_error(corpus, store, monkeypatch):
     monkeypatch.setenv("PQC_THREADS", "2")
     with pytest.raises(ValueError, match="PQC_THREADS"):
         run_experiment(cnn_spec(seeds=(0, 1)), corpus,
-                       architectures={"cnn": TINY_CNN}, store=store)
+                       architectures=CNN_ARCH, store=store)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pineq.autodiff import Adam, Tensor, ShapeError, grad_check
+from pineq.autodiff import Adam, Tensor, ShapeError, grad_check, softmax
 from pineq.nn import Linear, LayerNorm, SelfAttention, TransformerBlock
 from pineq.models import (
     CnnBackbone,
@@ -180,14 +180,14 @@ def test_ensemble_probabilities_match_hand_composed_chain():
     data = np.random.default_rng(71)
     mel = data.normal(size=(3, 64, 32)).astype(np.float32)
     img = data.normal(size=(3, 3, 32, 32)).astype(np.float32)
-    probs = model.predict_proba(mel, img).data
+    probs = softmax(model.logits(mel, img), axis=-1).data
     assert (probs >= 0).all()
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
     # hand-compose: backbone embeddings -> concat -> head -> softmax
-    from pineq.autodiff import concat as cat, softmax as sm
+    from pineq.autodiff import concat as cat
     a = model.audio_net(Tensor(mel[:, None]))
     v = model.visual_net(Tensor(img))
-    want = sm(model.head(cat([a, v], axis=1)), axis=-1).data
+    want = softmax(model.head(cat([a, v], axis=1)), axis=-1).data
     np.testing.assert_allclose(probs, want, atol=1e-6)
 
 
@@ -212,7 +212,7 @@ def test_cnn_classifier_logits_and_probabilities():
     x = np.random.default_rng(75).normal(size=(3, 1, 64, 32)).astype(np.float32)
     logits = model.forward(x)
     assert logits.data.shape == (3, 4)
-    probs = model.predict_proba(x).data
+    probs = softmax(model.logits(x[:, 0], None), axis=-1).data
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -229,8 +229,8 @@ def test_all_model_families_emit_probability_vectors():
         img = data.normal(size=(40, 3, 16, 16)).astype(np.float32)
         a, v = tiny_tokens(data, batch=40, dtype=np.float32)
         for probs in (
-            cnn.predict_proba(mel[:, None]).data,
-            ens.predict_proba(mel, img).data,
+            softmax(cnn.logits(mel, None), axis=-1).data,
+            softmax(ens.logits(mel, img), axis=-1).data,
             enc.forward(Tensor(a), Tensor(v))[1].data,
             enc.unimodal_forward(Tensor(a), "audio").data,
             enc.unimodal_forward(Tensor(v), "visual").data,

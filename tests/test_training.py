@@ -229,8 +229,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(model="gru")
     with pytest.raises(ValueError):
-        TrainConfig(modality="haptic")
-    with pytest.raises(ValueError):
         TrainConfig(smoothing=1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch=0)
@@ -240,25 +238,25 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(pretrain_steps=-1)
-    for kind in ("cnn-unimodal", "ensemble"):  # no token encoder to pretrain
+    for name in ("cnn-audio", "cnn-visual", "ensemble"):  # no token encoder to pretrain
         with pytest.raises(ValueError, match="pretraining applies only"):
-            TrainConfig(model=kind, pretrain_steps=2)
-    TrainConfig(model="crossmodal-unimodal", pretrain_steps=2)
+            TrainConfig(model=name, pretrain_steps=2)
+    for name in ("crossmodal", "crossmodal-audio", "crossmodal-visual"):
+        TrainConfig(model=name, pretrain_steps=2)
 
 
 def test_train_requires_examples(small_corpus):
     store = FeatureStore(small_corpus)
     with pytest.raises(ValueError):
         train(store, list(small_corpus.records), {r.record_id: [] for r in small_corpus.records},
-              TrainConfig(model="cnn-unimodal", epochs=1))
+              TrainConfig(model="cnn-audio", epochs=1))
 
 
 def test_train_is_deterministic_per_seed(small_corpus):
     store = FeatureStore(small_corpus)
     records = list(small_corpus.records)
     pairs = sample_corpus_pairs(records, "random", 2, seed=3)
-    cfg = TrainConfig(model="cnn-unimodal", modality="audio", epochs=2,
-                      batch=4, seed=11)
+    cfg = TrainConfig(model="cnn-audio", epochs=2, batch=4, seed=11)
     arch = {"embed_dim": 8, "head_hidden": 6}
     r1 = train(store, records, pairs, cfg, architecture=arch)
     r2 = train(store, records, pairs, cfg, architecture=arch)
@@ -267,8 +265,8 @@ def test_train_is_deterministic_per_seed(small_corpus):
     assert list(s1) == list(s2)
     for k in s1:
         np.testing.assert_array_equal(s1[k], s2[k])
-    r3 = train(store, records, pairs, TrainConfig(model="cnn-unimodal",
-               modality="audio", epochs=2, batch=4, seed=12), architecture=arch)
+    r3 = train(store, records, pairs, TrainConfig(model="cnn-audio", epochs=2,
+               batch=4, seed=12), architecture=arch)
     assert any(
         not np.array_equal(s1[k], r3.model.state_dict()[k]) for k in s1
     )
@@ -278,8 +276,8 @@ def test_overfit_single_repeated_instance(small_corpus):
     store = FeatureStore(small_corpus)
     rec = small_corpus.records[0]
     pairs = {rec.record_id: [(0, 0)]}
-    cfg = TrainConfig(model="cnn-unimodal", modality="audio", epochs=200,
-                      batch=1, lr=1e-3, smoothing=0.0, seed=0)
+    cfg = TrainConfig(model="cnn-audio", epochs=200, batch=1, lr=1e-3,
+                      smoothing=0.0, seed=0)
     result = train(store, [rec], pairs, cfg,
                    architecture={"embed_dim": 8, "head_hidden": 6})
     assert result.losses[-1] < 0.05, f"final loss {result.losses[-1]:.4f}"
@@ -292,8 +290,7 @@ def test_cnn_audio_reaches_090_train_accuracy(tmp_path):
     store = FeatureStore(corpus)
     records = list(corpus.records)
     pairs = sample_corpus_pairs(records, "random", 4, seed=5)
-    tc = TrainConfig(model="cnn-unimodal", modality="audio", epochs=10,
-                     batch=4, seed=1)
+    tc = TrainConfig(model="cnn-audio", epochs=10, batch=4, seed=1)
     result = train(store, records, pairs, tc,
                    architecture={"embed_dim": 16, "head_hidden": 16})
     conf = evaluate(result.model, tc, store, records, pairs)
@@ -368,26 +365,24 @@ def test_evaluate_unimodal_routes_requested_modality(small_corpus):
     mel = np.stack([store.audio_map(r.audio[0]) for r in records])
     img = np.stack([store.image_map(r.photos[0]) for r in records])
     encoder = CrossModalEncoder(EVAL_CFG, np.random.default_rng(33))
-    cnn = {m: build_model(TrainConfig(model="cnn-unimodal", modality=m),
-                          np.random.default_rng(34), SMALL_CNN) for m in MODALITIES}
-    # (kind, modality, model, batch for logits, scripted entry point per record)
+    cnn = {m: build_model(TrainConfig(model=f"cnn-{m}"), np.random.default_rng(34),
+                          SMALL_CNN) for m in MODALITIES}
+    # (model name, model, batch for logits, scripted entry point per record)
     cases = (
-        ("crossmodal-unimodal", "audio", encoder, (mel, None),
+        ("crossmodal-audio", encoder, (mel, None),
          lambda r: encoder.unimodal_tokens(
              Tensor(store.audio_tokens(r.audio[0])[None]), "audio")),
-        ("crossmodal-unimodal", "visual", encoder, (None, img),
+        ("crossmodal-visual", encoder, (None, img),
          lambda r: encoder.unimodal_tokens(
              Tensor(store.image_tokens(r.photos[0])[None]), "visual")),
-        ("cnn-unimodal", "audio", cnn["audio"], (mel, None),
+        ("cnn-audio", cnn["audio"], (mel, None),
          lambda r: cnn["audio"].forward(store.audio_map(r.audio[0])[None, None])),
-        ("cnn-unimodal", "visual", cnn["visual"], (None, img),
+        ("cnn-visual", cnn["visual"], (None, img),
          lambda r: cnn["visual"].forward(store.image_map(r.photos[0])[None])),
     )
     repeats = np.array([2, 0, 2, 3, 1, 2])
-    for kind, modality, model, batch, script in cases:
-        what = f"{kind}/{modality}"
-        conf = evaluate(model, TrainConfig(model=kind, modality=modality),
-                        store, records, pairs)
+    for what, model, batch, script in cases:
+        conf = evaluate(model, TrainConfig(model=what), store, records, pairs)
         assert conf.total == 4
         scripted = np.concatenate([script(r).data for r in records])
         np.testing.assert_array_equal(conf.counts, _scripted_counts(examples, scripted),
@@ -519,8 +514,7 @@ def test_unimodal_training_leaves_other_stream_untouched(small_corpus):
     store = FeatureStore(small_corpus)
     records = list(small_corpus.records)
     pairs = {r.record_id: [(0, 0), (1, 1)] for r in records}
-    cfg = TrainConfig(model="crossmodal-unimodal", modality="audio",
-                      epochs=1, batch=4, seed=5)
+    cfg = TrainConfig(model="crossmodal-audio", epochs=1, batch=4, seed=5)
     result = train(store, records, pairs, cfg, architecture=EVAL_CFG)
     fresh = build_model(cfg, np.random.default_rng(np.random.SeedSequence([5, 0])),
                         EVAL_CFG)
@@ -551,7 +545,7 @@ def test_diverging_fit_stops_naming_step_and_loss(small_corpus):
     records = list(small_corpus.records)
     pairs = {r.record_id: [(0, 0), (1, 1)] for r in records}
     # a step this large overflows the weights on the first update
-    cnn = TrainConfig(model="cnn-unimodal", epochs=3, batch=4, lr=1e30)
+    cnn = TrainConfig(model="cnn-audio", epochs=3, batch=4, lr=1e30)
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match=r"^training diverged: loss nan at step 2$"):
         train(store, records, pairs, cnn)
