@@ -4,7 +4,11 @@ The training side of this package needs gradients for a fairly small
 set of operations: arithmetic, rectifier/exp/log, matrix
 products (plain and batched), 2-D convolution, max pooling over disjoint
 windows, softmax and the shape plumbing around them
-(reshape/transpose/concat/narrow/take/sum).
+(reshape/transpose/concat/narrow/take/sum).  The transformer layers run
+as a few nodes each: :func:`linear` (matrix product plus bias),
+:func:`layer_norm` and :func:`attention` are one node apiece, with
+closed-form vector-Jacobian products; attention stores no (N, N) score
+or probability array, forward or backward.
 Rather than pulling in a framework, this module records a computation
 graph while the forward pass runs and replays it backwards.
 
@@ -46,7 +50,9 @@ __all__ = [
     "NonCheckableError",
     "MissingGradientError",
     "matmul",
+    "linear",
     "bmm",
+    "attention",
     "conv2d",
     "maxpool2d",
     "softmax",
@@ -61,6 +67,9 @@ __all__ = [
 ]
 
 _LOG2E = math.log2(math.e)
+# Queries per block in attention: one block's (B, 128, N) scores is the
+# largest array attention holds, forward or backward.
+ATTENTION_CHUNK = 128
 
 
 class ShapeError(ValueError):
@@ -370,6 +379,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), vjp, "matmul")
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` on the last axis of (M, K) or (B, N, K) input.
+
+    The bias gradient is a column sum; an input that needs no gradient
+    gets none.
+    """
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"linear expects rank 2 or 3 input, got {x.data.ndim}")
+    if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0] \
+            or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"linear shapes incompatible: {x.data.shape} @ {w.data.shape} "
+                         f"+ {b.data.shape}")
+    shape = x.data.shape
+    x2 = x.data.reshape(-1, shape[-1])
+    wd = w.data
+    out = x2 @ wd
+    out += b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, wd.shape[1])
+        dx = (g2 @ wd.T).reshape(shape) if x.requires_grad else None
+        return (dx, x2.T @ g2, g2.sum(axis=0))
+
+    return _node(out.reshape(shape[:-1] + wd.shape[1:]), (x, w, b), vjp, "linear")
+
+
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product over equal leading dimensions."""
     if a.data.ndim != 3 or b.data.ndim != 3:
@@ -381,6 +416,67 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (np.matmul(g, bd.swapaxes(1, 2)), np.matmul(ad.swapaxes(1, 2), g))
     return _node(out, (a, b), vjp, "bmm")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """``softmax(q k^T / sqrt(d)) v`` over (B, N, d) queries and (B, M, d)
+    keys with (B, M, e) values.
+
+    Each block of ``ATTENTION_CHUNK`` queries is scored, exponentiated and
+    multiplied with the values, and divided by its row sums after that
+    product.  Only the output and each row's log-sum-exp are kept; the vjp
+    recomputes each block's probabilities from the log-sum-exp and uses
+    ``rowsum(dO * O)`` for the softmax's shift term (Rabe & Staats 2021;
+    Dao et al. 2022).
+    """
+    if q.data.ndim != 3 or k.data.ndim != 3 or v.data.ndim != 3:
+        raise ShapeError("attention expects rank-3 (B, N, d) operands")
+    qd, kd, vd = q.data, k.data, v.data
+    b, n, d = qd.shape
+    if kd.shape[0] != b or vd.shape[0] != b or kd.shape[2] != d \
+            or vd.shape[1] != kd.shape[1]:
+        raise ShapeError(f"attention shapes incompatible: q {qd.shape}, k {kd.shape}, "
+                         f"v {vd.shape}")
+    scale = 1.0 / math.sqrt(d)
+    # base-2 logits: exp2(qs k^T) == exp(q k^T / sqrt(d)), and exp2 is the
+    # faster SIMD path; scaling q costs N*d products rather than N*M
+    qs = qd * (scale * _LOG2E)
+    kt = kd.swapaxes(1, 2)
+    out = np.empty((b, n, vd.shape[2]), dtype=np.result_type(qs, kd, vd))
+    lse = np.empty((b, n, 1), dtype=out.dtype)  # base-2 log-sum-exp per row
+    for start in range(0, n, ATTENTION_CHUNK):
+        rows = slice(start, start + ATTENTION_CHUNK)
+        p = np.matmul(qs[:, rows], kt)
+        top = p.max(axis=-1, keepdims=True)
+        p -= top
+        np.exp2(p, out=p)
+        total = p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vd, out=out[:, rows])
+        out[:, rows] /= total
+        lse[:, rows] = top + np.log2(total)
+
+    def vjp(g):
+        dsum = (g * out).sum(axis=-1, keepdims=True)
+        dq = np.empty_like(qs)
+        dk = np.zeros_like(kd)
+        dv = np.zeros_like(vd)
+        vt = vd.swapaxes(1, 2)
+        for start in range(0, n, ATTENTION_CHUNK):
+            rows = slice(start, start + ATTENTION_CHUNK)
+            p = np.matmul(qs[:, rows], kt)
+            p -= lse[:, rows]
+            np.exp2(p, out=p)
+            dv += np.matmul(p.swapaxes(1, 2), g[:, rows])
+            ds = np.matmul(g[:, rows], vt)  # dP, then the score gradient in place
+            ds -= dsum[:, rows]
+            ds *= p
+            np.matmul(ds, kd, out=dq[:, rows])
+            dk += np.matmul(ds.swapaxes(1, 2), qs[:, rows])
+        dq *= scale
+        dk *= 1.0 / _LOG2E  # qs carries scale * log2(e); the key gradient wants scale
+        return (dq, dk, dv)
+
+    return _node(out, (q, k, v), vjp, "attention")
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int) -> np.ndarray:
@@ -482,8 +578,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     xd = x.data
     m = xd.max(axis=axis, keepdims=True)
     y = np.subtract(xd, m)
-    # exp(x) == exp2(x * log2(e)); exp2 is the faster SIMD path and this
-    # softmax sits on the hot path of attention
+    # exp(x) == exp2(x * log2(e)); exp2 is the faster SIMD path
     np.multiply(y, xd.dtype.type(_LOG2E), out=y)
     np.exp2(y, out=y)
     denom = y.sum(axis=axis, keepdims=True)
@@ -505,13 +600,27 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean/unit variance, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = (var + Tensor(np.asarray(eps, dtype=x.dtype))).sqrt()
-    normed = centered / inv
-    return normed * gamma + beta
+    """Normalize the last axis to zero mean/unit variance, then affine.
+
+    One node: the vjp is the closed form
+    ``(dy_hat - mean(dy_hat) - x_hat * mean(dy_hat * x_hat)) / std``.
+    """
+    xd = x.data
+    n = xd.shape[-1]
+    xhat = xd - xd.sum(axis=-1, keepdims=True) * (1.0 / n)
+    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+    xhat /= std
+    gd = gamma.data
+    out = xhat * gd + beta.data
+
+    def vjp(g):
+        dxhat = g * gd
+        dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        dx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx /= std
+        return (dx, _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, beta.data.shape))
+
+    return _node(out, (x, gamma, beta), vjp, "layer_norm")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

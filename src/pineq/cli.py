@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 files, infeasible sampling, shape mismatches). Diagnostics go to stderr;
 results go to stdout and to ``--out`` files. ``--config`` names a plain
 ``key=value`` file whose entries fill in any flags not given explicitly
-(flags win), and the effective values are echoed into report headers.
+(flags win), and the effective values are echoed into report headers; a
+key that is not an option of the command is a usage error.
 """
 
 from __future__ import annotations
@@ -122,6 +123,12 @@ class _Options:
         self.args = args
         self.config = read_config(args.config) if getattr(args, "config", None) else {}
         self.effective: Dict[str, str] = {}
+        options = [k.replace("_", "-") for k in vars(args)
+                   if k not in ("command", "func", "config")]
+        unknown = [k for k in self.config if k not in options]
+        if unknown:
+            raise UsageError(f"{args.config}: not an option of pineq {args.command}: "
+                             f"{', '.join(unknown)}; its options are {', '.join(options)}")
 
     def get(self, name: str, default, cast=None, valid=None):
         value = getattr(self.args, name.replace("-", "_"), None)

@@ -184,8 +184,9 @@ class CnnBackbone(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         for wt, k in zip(self.convs, self._kernels):
-            x = conv2d(x, wt, stride=1, padding=k // 2).relu()
-            x = maxpool2d(x, 2)
+            # pooling first rectifies a quarter of the values; the rectifier is
+            # monotone, so the result and its gradients are the same bits
+            x = maxpool2d(conv2d(x, wt, stride=1, padding=k // 2), 2).relu()
         return self.proj(x.reshape(x.data.shape[0], self.flat_dim))
 
 

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, bmm, layer_norm, matmul, softmax
+from .autodiff import ShapeError, Tensor, attention, layer_norm, linear
 
 __all__ = ["Module", "Linear", "LayerNorm", "SelfAttention", "TransformerBlock"]
 
@@ -84,7 +84,7 @@ class Module:
 
 
 class Linear(Module):
-    """Affine map on the last axis; token inputs (B, N, C) are flattened."""
+    """Affine map on the last axis of (M, C) or (B, N, C) input."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.weight = Tensor(
@@ -94,13 +94,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(n_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim == 2:
-            return matmul(x, self.weight) + self.bias
-        if x.data.ndim == 3:
-            b, n, c = x.data.shape
-            y = matmul(x.reshape(b * n, c), self.weight)
-            return y.reshape(b, n, self.weight.data.shape[1]) + self.bias
-        raise ShapeError(f"linear layer expects rank 2 or 3 input, got {x.data.ndim}")
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -134,14 +128,8 @@ class SelfAttention(Module):
         def split(t: Tensor) -> Tensor:
             return t.reshape(b, n, h, dh).transpose(0, 2, 1, 3).reshape(b * h, n, dh)
 
-        # fold the 1/sqrt(dh) scale into q so it is applied exactly once
-        q = split(self.wq(x)) * (1.0 / math.sqrt(dh))
-        k = split(self.wk(x))
-        v = split(self.wv(x))
-        attn = softmax(bmm(q, k.transpose(0, 2, 1)), axis=-1)
-        y = bmm(attn, v)
-        y = y.reshape(b, h, n, dh).transpose(0, 2, 1, 3).reshape(b, n, c)
-        return self.wo(y)
+        y = attention(split(self.wq(x)), split(self.wk(x)), split(self.wv(x)))
+        return self.wo(y.reshape(b, h, n, dh).transpose(0, 2, 1, 3).reshape(b, n, c))
 
 
 class TransformerBlock(Module):

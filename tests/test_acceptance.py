@@ -18,11 +18,13 @@ from pineq import audio as A
 from pineq.autodiff import (
     Adam,
     Tensor,
+    attention,
     bmm,
     concat,
     conv2d,
     grad_check,
     layer_norm,
+    linear,
     log_softmax,
     matmul,
     maxpool2d,
@@ -106,6 +108,25 @@ def _primitive_cases(rng):
     return cases
 
 
+def _transformer_cases(rng):
+    """The fused transformer-layer nodes: rank-3 layer norm, linear at both
+    ranks, and attention over 130 queries (a full block of 128 and a
+    ragged one)."""
+    def t(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    coeff = Tensor(rng.normal(size=(3, 5)))
+    return [
+        ("layer_norm-rank3", lambda x, g, b: (layer_norm(x, g, b) * coeff).sum(),
+         [t(2, 3, 5), t(5), t(5)]),
+        ("linear", lambda x, w, b: (linear(x, w, b) * coeff).sum(), [t(3, 4), t(4, 5), t(5)]),
+        ("linear-rank3", lambda x, w, b: (linear(x, w, b) * coeff).sum(),
+         [t(2, 3, 4), t(4, 5), t(5)]),
+        ("attention", lambda q, k, v: (attention(q, k, v) ** 2.0).sum(),
+         [t(1, 130, 2), t(1, 130, 2), t(1, 130, 2)]),
+    ]
+
+
 def _param_check(model, names, f, eps=1e-4):
     """Grad-check the loss with respect to each named parameter."""
     worst = 0.0
@@ -127,7 +148,9 @@ def test_criterion_1_gradient_suite():
     started = time.monotonic()
     rng = np.random.default_rng(100)
     worst = 0.0
-    for name, f, pts in _primitive_cases(rng):
+    # their own generator, so the model checks below keep their draws
+    cases = _primitive_cases(rng) + _transformer_cases(np.random.default_rng(101))
+    for name, f, pts in cases:
         err = grad_check(f, pts)
         assert err < 1e-3, f"{name}: relative gradient error {err:.2e}"
         worst = max(worst, err)

@@ -6,6 +6,7 @@ every backward rule is checked against central finite differences in
 float64.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,11 +20,13 @@ from pineq.autodiff import (
     NonCheckableError,
     ShapeError,
     Tensor,
+    attention,
     bmm,
     concat,
     conv2d,
     grad_check,
     layer_norm,
+    linear,
     log_softmax,
     matmul,
     maxpool2d,
@@ -314,6 +317,84 @@ def test_take_rejects_out_of_range_index():
             take(x, bad)
 
 
+def test_linear_and_attention_reject_bad_shapes():
+    with pytest.raises(ShapeError, match="rank 2 or 3"):
+        linear(t64(2, 3, 4, 5), t64(5, 2), t64(2))
+    with pytest.raises(ShapeError):
+        linear(t64(3, 4), t64(5, 2), t64(2))
+    with pytest.raises(ShapeError):
+        linear(t64(3, 4), t64(4, 2), t64(3))
+    with pytest.raises(ShapeError):
+        attention(t64(2, 5, 3), t64(2, 5, 4), t64(2, 5, 3))
+    with pytest.raises(ShapeError):
+        attention(t64(2, 5, 3), t64(2, 6, 3), t64(2, 5, 3))
+    with pytest.raises(ShapeError):
+        attention(t64(5, 3), t64(5, 3), t64(5, 3))
+
+
+# the node chains the fused ops replace, kept as references
+
+
+def composite_attention(q, k, v):
+    scores = bmm(q * (1.0 / math.sqrt(q.data.shape[-1])), k.transpose(0, 2, 1))
+    return bmm(softmax(scores, axis=-1), v)
+
+
+def composite_layer_norm(x, gamma, beta, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * gamma + beta
+
+
+def composite_linear(x, w, b):
+    shape = x.data.shape
+    y = matmul(x.reshape(-1, shape[-1]), w)
+    return y.reshape(*shape[:-1], w.data.shape[1]) + b
+
+
+FUSED = {
+    "attention": (attention, composite_attention,
+                  [(4, 300, 16), (4, 300, 16), (4, 300, 16)]),
+    "layer_norm": (layer_norm, composite_layer_norm, [(4, 50, 32), (32,), (32,)]),
+    "linear-rank2": (linear, composite_linear, [(60, 32), (32, 24), (24,)]),
+    "linear-rank3": (linear, composite_linear, [(4, 50, 32), (32, 24), (24,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_matches_its_composite_in_float32(name):
+    fused, composite, shapes = FUSED[name]
+    rng = np.random.default_rng(40)
+    arrays = [_f32(rng, *shape) for shape in shapes]
+    results = []
+    for op in (fused, composite):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        y = op(*inputs)
+        coeff = Tensor(np.random.default_rng(41).normal(size=y.shape).astype(np.float32))
+        (y * coeff).sum().backward()
+        assert y.data.dtype == np.float32
+        results.append([y.data] + [t.grad for t in inputs])
+    # norm-wise: each order rounds differently in its last bits
+    for got, want in zip(*results):
+        assert got.dtype == np.float32
+        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert rel < 1e-6, f"{name}: relative difference {rel:.2e}"
+
+
+def test_attention_never_holds_a_full_score_array():
+    rng = np.random.default_rng(42)
+    b, n, d = 32, 708, 32
+    q, k, v = (Tensor(_f32(rng, b, n, d), requires_grad=True) for _ in range(3))
+
+    def forward_and_backward():
+        attention(q, k, v).sum().backward()
+
+    _, peak = _traced_peak(forward_and_backward)
+    scores_bytes = b * n * n * np.dtype(np.float32).itemsize
+    assert peak < scores_bytes, f"peak {peak / 1e6:.1f} MB >= {scores_bytes / 1e6:.1f} MB"
+    assert all(t.grad is not None and t.grad.shape == (b, n, d) for t in (q, k, v))
+
+
 # ---------------------------------------------------------------------------
 # backward semantics
 # ---------------------------------------------------------------------------
@@ -470,7 +551,7 @@ def test_softmax_gradient_matches_finite_differences():
 
 
 def test_layer_norm_gradient_matches_finite_differences():
-    x = t64(3, 8)
+    x = t64(2, 3, 8)
     g = t64(8)
     b = t64(8)
     err = grad_check(
@@ -479,6 +560,30 @@ def test_layer_norm_gradient_matches_finite_differences():
         eps=1e-5,
     )
     assert err < 1e-3
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["rank2", "rank3"])
+def test_linear_gradient_matches_finite_differences(shape):
+    x, w, b = t64(*shape), t64(4, 3), t64(3)
+    coeff = Tensor(RNG.normal(size=shape[:-1] + (3,)))
+    err = grad_check(lambda xx, ww, bb: (linear(xx, ww, bb) * coeff).sum(), [x, w, b])
+    assert err < 1e-6, err
+
+
+def test_linear_input_without_grad_gets_no_gradient():
+    x, w, b = t64(2, 3, 4, grad=False), t64(4, 3), t64(3)
+    dx, dw, db = linear(x, w, b)._vjp(np.ones((2, 3, 3)))
+    assert dx is None and dw.shape == (4, 3) and db.shape == (3,)
+
+
+@pytest.mark.parametrize("n", [5, ad.ATTENTION_CHUNK, 2 * ad.ATTENTION_CHUNK, 300],
+                         ids=["short", "one-chunk", "two-chunks", "ragged"])
+def test_attention_gradient_matches_finite_differences(n):
+    b, d = (2, 3) if n < ad.ATTENTION_CHUNK else (1, 2)
+    q, k, v = t64(b, n, d), t64(b, n, d), t64(b, n, d + 1)
+    coeff = Tensor(RNG.normal(size=(b, n, d + 1)))
+    err = grad_check(lambda qq, kk, vv: (attention(qq, kk, vv) * coeff).sum(), [q, k, v])
+    assert err < 1e-5, err
 
 
 def test_reshape_transpose_concat_narrow_gradients():

@@ -253,6 +253,19 @@ def test_bad_value_gives_one_message_from_flag_or_config(corpus_dir, tmp_path, c
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("line, key", [("sede = 3", "sede"), ("epochs = 3", "epochs")],
+                         ids=["misspelt", "another-command"])
+def test_config_key_no_option_reads_is_usage_error(tmp_path, capsys, line, key):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    out = tmp_path / "split"
+    assert main(["split", "--synthetic", "--records", "8", "--out", str(out),
+                 "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"{cfg}: not an option of pineq split: {key}; its options are corpus, ")
+    assert not out.exists()
+
+
 def test_mixed_grid_with_pretraining_is_usage_error(tmp_path, capsys):
     out = tmp_path / "grid"
     rc = main(["experiment", "--synthetic", "--records", "8",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pineq.autodiff import Adam, Tensor, ShapeError, grad_check, softmax
+from pineq.autodiff import Adam, Tensor, ShapeError, conv2d, grad_check, maxpool2d, softmax
 from pineq.nn import Linear, LayerNorm, SelfAttention, TransformerBlock
 from pineq.models import (
     CnnBackbone,
@@ -157,6 +157,40 @@ def test_cnn_backbone_shapes_on_both_modalities():
     a = aud(Tensor(rng.normal(size=(2, 1, 64, 32)).astype(np.float32)))
     v = vis(Tensor(rng.normal(size=(2, 3, 32, 32)).astype(np.float32)))
     assert a.data.shape == (2, 16) and v.data.shape == (2, 16)
+
+
+@pytest.mark.parametrize("channels", [1, 3], ids=["audio", "visual"])
+def test_cnn_pool_before_rectifier_is_bitwise_equal_to_rectifier_first(channels):
+    # small integers and mostly-zero kernels make exact zeros and tied window
+    # maxima common at every stage
+    rng = np.random.default_rng(8)
+    net = CnnBackbone(channels, (32, 24), 6, rng)
+    for w in net.convs:
+        w.data = rng.choice(np.array([-1, 0, 0, 0, 0, 0, 0, 1], dtype=np.float32),
+                            size=w.data.shape)
+    x = rng.integers(-2, 3, size=(2, channels, 32, 24)).astype(np.float32)
+
+    def rectifier_first(inp):
+        h = inp
+        for wt, k in zip(net.convs, net._kernels):
+            pre = conv2d(h, wt, stride=1, padding=k // 2)
+            n, c, hh, ww = pre.shape  # even at every stage of a 32x24 input
+            blocks = np.sort(pre.data.reshape(n, c, hh // 2, 2, ww // 2, 2)
+                             .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, -1, 4), axis=-1)
+            assert (blocks[..., 3] == 0).any() and (blocks[..., 3] == blocks[..., 2]).any()
+            h = maxpool2d(pre.relu(), 2)
+        return net.proj(h.reshape(h.shape[0], net.flat_dim))
+
+    results = []
+    for forward in (net, rectifier_first):
+        inp = Tensor(x, requires_grad=True)
+        out = forward(inp)
+        (out * out).sum().backward()
+        results.append([out.data, inp.grad] + [p.grad for p in net.parameters()])
+        for p in net.parameters():
+            p.grad = None
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_ensemble_uses_both_streams():
