@@ -9,6 +9,7 @@ import numpy as np
 
 from pineq.audio import (
     CAPTURE_RATE,
+    TARGET_RATE,
     crop_segment,
     detect_peak,
     mel_spectrogram,
@@ -32,23 +33,22 @@ wav_bytes = write_wav(capture, CAPTURE_RATE)
 print(f"capture: {len(wav_bytes)} bytes of WAV at {CAPTURE_RATE} Hz")
 
 # --- stage by stage -------------------------------------------------------
-w = read_wav(wav_bytes)
-print(f"decoded: {len(w.samples)} samples, range [{w.samples.min():.3f}, "
-      f"{w.samples.max():.3f}]")
+x = read_wav(wav_bytes)  # any rate but CAPTURE_RATE is rejected here
+print(f"decoded: {len(x)} samples, range [{x.min():.3f}, {x.max():.3f}]")
 
-w = normalize_amplitude(w)
-print(f"normalized: range [{w.samples.min():.3f}, {w.samples.max():.3f}]")
+x = normalize_amplitude(x)
+print(f"normalized: range [{x.min():.3f}, {x.max():.3f}]")
 
-peak = detect_peak(w)
-print(f"peak index {peak} = {peak / w.sample_rate:.3f} s "
+peak = detect_peak(x)
+print(f"peak index {peak} = {peak / CAPTURE_RATE:.3f} s "
       f"(tap onset was {onset} s)")
 
-seg = crop_segment(w, peak)
-print(f"crop: {len(seg.samples)} samples "
-      f"({len(seg.samples) / seg.sample_rate:.1f} s around the peak)")
+seg = crop_segment(x, peak)
+print(f"crop: {len(seg)} samples "
+      f"({len(seg) / CAPTURE_RATE:.1f} s around the peak)")
 
 ds = resample(seg)
-print(f"resampled: {len(ds.samples)} samples at {ds.sample_rate} Hz")
+print(f"resampled: {len(ds)} samples at {TARGET_RATE} Hz")
 
 mel = mel_spectrogram(ds)
 print(f"log-mel map: {mel.shape}, dtype {mel.dtype}, "

@@ -2,7 +2,8 @@
 
 The chain mirrors how the recordings are used downstream:
 
-1. :func:`read_wav` parses RIFF/PCM16 bytes into float samples.
+1. :func:`read_wav` parses RIFF/PCM16 bytes into float samples and
+   rejects any capture rate but 48 kHz, the one rate check of the chain.
 2. :func:`normalize_amplitude` min-max scales into [0, 1].
 3. :func:`detect_peak` finds the tap (global maximum, first on ties).
 4. :func:`crop_segment` keeps 0.1 s before to 0.3 s after the peak,
@@ -10,6 +11,9 @@ The chain mirrors how the recordings are used downstream:
 5. :func:`resample` brings 48 kHz material down to 22 050 Hz with a
    polyphase windowed-sinc kernel at the exact 147/320 ratio.
 6. :func:`mel_spectrogram` produces the fixed 1024x128 log-Mel map.
+
+Every stage takes and returns a plain float array; the rate each one
+reads is fixed (48 kHz up to the resampler, 22 050 Hz after it).
 
 Frame-count note: a centred STFT with hop 8 would give 1 + len//8
 frames, which for the canonical 8820-sample crop is 1103.  To pin the
@@ -21,13 +25,11 @@ contribute their middle 1024 frame positions.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "WaveBuffer",
     "MalformedWavError",
     "UnsupportedWavError",
     "UnsupportedRateError",
@@ -48,6 +50,8 @@ CAPTURE_RATE = 48000
 TARGET_RATE = 22050
 CROP_BEFORE_S = 0.1
 CROP_TOTAL_S = 0.4
+_CROP_BEFORE = round(CROP_BEFORE_S * CAPTURE_RATE)  # 4800 samples
+_CROP_TOTAL = round(CROP_TOTAL_S * CAPTURE_RATE)  # 19200 samples
 
 MEL_FRAMES = 1024
 MEL_BANDS = 128
@@ -71,19 +75,11 @@ class UnsupportedWavError(ValueError):
 
 
 class UnsupportedRateError(ValueError):
-    """The resampler only handles 48 kHz capture material."""
+    """The chain only handles 48 kHz capture material."""
 
 
 class SilentInputError(ValueError):
     """Amplitude normalization is undefined for an all-equal signal."""
-
-
-@dataclass(frozen=True)
-class WaveBuffer:
-    """Mono samples plus their sample rate."""
-
-    samples: np.ndarray
-    sample_rate: int
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +87,14 @@ class WaveBuffer:
 # ---------------------------------------------------------------------------
 
 
-def read_wav(data: bytes) -> WaveBuffer:
-    """Parse PCM16 WAV bytes; stereo is averaged down to mono.
+def read_wav(data: bytes) -> np.ndarray:
+    """Parse 48 kHz PCM16 WAV bytes into mono samples; stereo is averaged.
 
     Samples are scaled by 1/32768 so full-scale negative maps to -1.0.
     Unknown chunks are skipped.  Raises :class:`MalformedWavError` for
-    structural problems and :class:`UnsupportedWavError` for valid but
-    unsupported encodings.
+    structural problems, :class:`UnsupportedWavError` for valid but
+    unsupported encodings and :class:`UnsupportedRateError` for any
+    rate but :data:`CAPTURE_RATE`.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("missing RIFF/WAVE header")
@@ -126,12 +123,14 @@ def read_wav(data: bytes) -> WaveBuffer:
         raise UnsupportedWavError(f"{bits}-bit samples, expected 16")
     if channels not in (1, 2):
         raise UnsupportedWavError(f"{channels} channels, expected 1 or 2")
+    if rate != CAPTURE_RATE:
+        raise UnsupportedRateError(f"capture rate {rate}, expected {CAPTURE_RATE}")
     frames = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels == 2:
         if len(frames) % 2:
             raise MalformedWavError("odd sample count for stereo data")
         frames = frames.reshape(-1, 2).mean(axis=1)
-    return WaveBuffer(frames, int(rate))
+    return frames
 
 
 def write_wav(samples: np.ndarray, sample_rate: int) -> bytes:
@@ -154,39 +153,37 @@ def write_wav(samples: np.ndarray, sample_rate: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def normalize_amplitude(w: WaveBuffer) -> WaveBuffer:
+def normalize_amplitude(x: np.ndarray) -> np.ndarray:
     """Min-max scale the samples onto [0, 1]."""
-    x = np.asarray(w.samples, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     lo = x.min()
     hi = x.max()
     if hi == lo:
         raise SilentInputError("all samples equal; nothing to normalize")
-    return WaveBuffer((x - lo) / (hi - lo), w.sample_rate)
+    return (x - lo) / (hi - lo)
 
 
-def detect_peak(w: WaveBuffer) -> int:
+def detect_peak(x: np.ndarray) -> int:
     """Index of the global maximum; the first index wins ties."""
-    return int(np.argmax(w.samples))
+    return int(np.argmax(x))
 
 
-def crop_segment(w: WaveBuffer, peak: int) -> WaveBuffer:
-    """Window [peak - 0.1 s, peak + 0.3 s), zero-padded at the edges.
+def crop_segment(x: np.ndarray, peak: int) -> np.ndarray:
+    """Window [peak - 0.1 s, peak + 0.3 s) of 48 kHz samples, zero-padded
+    at the edges.
 
-    The result always has exactly round(0.4 * sample_rate) samples.
+    The result always has exactly 19 200 samples.
     """
-    x = np.asarray(w.samples)
+    x = np.asarray(x)
     if not 0 <= peak < len(x):
         raise ValueError(f"peak {peak} outside signal of length {len(x)}")
-    sr = w.sample_rate
-    before = round(CROP_BEFORE_S * sr)
-    total = round(CROP_TOTAL_S * sr)
-    start = peak - before
-    out = np.zeros(total, dtype=np.float64)
+    start = peak - _CROP_BEFORE
+    out = np.zeros(_CROP_TOTAL, dtype=np.float64)
     lo = max(start, 0)
-    hi = min(start + total, len(x))
+    hi = min(start + _CROP_TOTAL, len(x))
     if hi > lo:
         out[lo - start : hi - start] = x[lo:hi]
-    return WaveBuffer(out, sr)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +206,19 @@ def _phase_table() -> np.ndarray:
     return rows
 
 
-def resample(w: WaveBuffer) -> WaveBuffer:
-    """Polyphase windowed-sinc resample from 48 kHz to 22 050 Hz.
+def resample(x: np.ndarray) -> np.ndarray:
+    """Polyphase windowed-sinc resample of 48 kHz samples to 22 050 Hz.
 
     Output length is round(len * 147/320), rounding half away from
     zero.  A constant signal resamples to exactly the same constant:
     the kernel is applied to differences around a reference sample, so
     unit-sum rounding error never leaks into flat regions.
     """
-    if w.sample_rate != CAPTURE_RATE:
-        raise UnsupportedRateError(
-            f"source rate {w.sample_rate}, expected {CAPTURE_RATE}"
-        )
-    x = np.asarray(w.samples, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     n_in = len(x)
     n_out = (n_in * _UP + _DOWN // 2) // _DOWN
     if n_out == 0:
-        return WaveBuffer(np.zeros(0), TARGET_RATE)
+        return np.zeros(0)
     pos = np.arange(n_out, dtype=np.int64) * _DOWN
     base = pos // _UP
     phase = pos % _UP
@@ -235,7 +228,7 @@ def resample(w: WaveBuffer) -> WaveBuffer:
     weights = _phase_table()[phase]
     ref = x[np.clip(np.rint(pos / _UP).astype(np.int64), 0, n_in - 1)]
     out = ref + ((x[idx] - ref[:, None]) * weights).sum(axis=1)
-    return WaveBuffer(out, TARGET_RATE)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +263,15 @@ def _hann_window() -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / MEL_WIN)
 
 
-def mel_spectrogram(w: WaveBuffer) -> np.ndarray:
-    """Log-scaled Mel map, exactly (1024, 128) float32 for any input.
+def mel_spectrogram(x: np.ndarray) -> np.ndarray:
+    """Log-scaled Mel map of 22 050 Hz samples, exactly (1024, 128)
+    float32 for any input length.
 
     Window 512, hop 8, periodic Hann, centred frames over
     reflect-padded signal, power spectra through the triangular
     filterbank, then natural log of (energy + 1e-10).
     """
-    x = np.asarray(w.samples, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.size < 1:
         raise ValueError("mel_spectrogram needs at least one sample")
     canonical = (MEL_FRAMES - 1) * MEL_HOP  # 8184
@@ -299,11 +293,6 @@ def mel_spectrogram(w: WaveBuffer) -> np.ndarray:
 
 def preprocess_audio(data: bytes) -> np.ndarray:
     """Full chain from WAV bytes to the (1024, 128) float32 Mel map."""
-    w = read_wav(data)
-    if w.sample_rate != CAPTURE_RATE:
-        raise UnsupportedRateError(
-            f"capture rate {w.sample_rate}, expected {CAPTURE_RATE}"
-        )
-    n = normalize_amplitude(w)
-    seg = crop_segment(n, detect_peak(n))
+    x = normalize_amplitude(read_wav(data))
+    seg = crop_segment(x, detect_peak(x))
     return mel_spectrogram(resample(seg))

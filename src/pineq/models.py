@@ -72,51 +72,40 @@ __all__ = [
 PATCH_SIZE = 16
 
 
-def _check_divisible(name: str, extent: int) -> None:
-    if extent % PATCH_SIZE != 0:
-        raise ShapeError(f"{name} extent {extent} not divisible by patch size {PATCH_SIZE}")
-
-
-def patchify_audio(mel: np.ndarray) -> np.ndarray:
-    """Cut a (T, F) Mel map into (T/16 * F/16, 256) patch rows.
-
-    Patches scan frequency fastest, then time.  A leading batch axis is
-    carried through.
-    """
-    mel = np.asarray(mel)
-    single = mel.ndim == 2
+def _patchify(x: np.ndarray, names: Tuple[str, str]) -> np.ndarray:
+    """Cut an (H, W, C) map into (H/16 * W/16, 256 * C) patch rows, W
+    fastest, channels innermost; a leading batch axis is carried through.
+    ``names`` label H and W in the error for an extent 16 does not divide."""
+    single = x.ndim == 3
     if single:
-        mel = mel[None]
-    b, t, f = mel.shape
-    _check_divisible("time", t)
-    _check_divisible("frequency", f)
+        x = x[None]
+    b, h, w, c = x.shape
+    for name, extent in zip(names, (h, w)):
+        if extent % PATCH_SIZE != 0:
+            raise ShapeError(f"{name} extent {extent} not divisible by patch size {PATCH_SIZE}")
     p = PATCH_SIZE
     tok = (
-        mel.reshape(b, t // p, p, f // p, p)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(b, (t // p) * (f // p), p * p)
-    )
-    return tok[0] if single else tok
-
-
-def patchify_image(img: np.ndarray) -> np.ndarray:
-    """Cut an (H, W, 3) image into (H/16 * W/16, 768) patch rows."""
-    img = np.asarray(img)
-    single = img.ndim == 3
-    if single:
-        img = img[None]
-    b, h, w, c = img.shape
-    if c != 3:
-        raise ShapeError(f"expected 3 channels, got {c}")
-    _check_divisible("height", h)
-    _check_divisible("width", w)
-    p = PATCH_SIZE
-    tok = (
-        img.reshape(b, h // p, p, w // p, p, c)
+        x.reshape(b, h // p, p, w // p, p, c)
         .transpose(0, 1, 3, 2, 4, 5)
         .reshape(b, (h // p) * (w // p), p * p * c)
     )
     return tok[0] if single else tok
+
+
+def patchify_audio(mel: np.ndarray) -> np.ndarray:
+    """Cut a (T, F) Mel map, a one-channel image, into (T/16 * F/16, 256)
+    patch rows: frequency fastest, then time.  A leading batch axis is
+    carried through."""
+    return _patchify(np.asarray(mel)[..., None], ("time", "frequency"))
+
+
+def patchify_image(img: np.ndarray) -> np.ndarray:
+    """Cut an (H, W, 3) image into (H/16 * W/16, 768) patch rows.  A
+    leading batch axis is carried through."""
+    img = np.asarray(img)
+    if img.shape[-1] != 3:
+        raise ShapeError(f"expected 3 channels, got {img.shape[-1]}")
+    return _patchify(img, ("height", "width"))
 
 
 def _regroup(tokens: np.ndarray, n_tokens: int, patch_dim: int) -> np.ndarray:

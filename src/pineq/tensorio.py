@@ -80,15 +80,28 @@ def save_checkpoint(path: str | Path, named: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read every tensor the index lists; each must have its indexed shape."""
+    """Read every tensor the index lists; each must have its indexed shape.
+
+    A malformed index line or container raises :class:`FormatError`
+    naming the file, and the index line where there is one.
+    """
     path = Path(path)
+    index = Path(str(path) + ".idx")
     view = memoryview(path.read_bytes())
     named: dict[str, np.ndarray] = {}
-    for line in Path(str(path) + ".idx").read_text().splitlines():
+    for number, line in enumerate(index.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        name, offset, shape = line.split(" ")  # a scalar's shape is ""
-        arr = tensor_from_bytes(view[int(offset):])
+        try:
+            name, offset, shape = line.split(" ")  # a scalar's shape is ""
+            start = int(offset)
+        except ValueError:
+            raise FormatError(
+                f"{index}: line {number} is not 'name offset shape': {line!r}") from None
+        try:
+            arr = tensor_from_bytes(view[start:])
+        except FormatError as exc:
+            raise FormatError(f"{path}: tensor {name} (index line {number}): {exc}") from None
         found = "x".join(str(d) for d in arr.shape)
         if found != shape:
             raise FormatError(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .audio import MEL_BANDS, MEL_FRAMES, preprocess_audio
 from .autodiff import Adam, Tensor, log_softmax, no_grad
-from .corpus import Corpus, MediaMeta, PineappleRecord, class_weights
+from .corpus import Corpus, MediaMeta, PineappleRecord, QualityLabel, class_weights
 from .image import TARGET_SIZE, preprocess_image
 from .models import (
     CnnClassifier,
@@ -63,7 +63,7 @@ MODELS: Dict[str, Tuple[str, ...]] = {
     "crossmodal-audio": ("audio",),
     "crossmodal-visual": ("visual",),
 }
-N_CLASSES = 4
+N_CLASSES = len(QualityLabel)
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +254,19 @@ def build_model(cfg: TrainConfig, rng: np.random.Generator,
     """Instantiate the model named by ``cfg`` with seeded weights.
 
     ``architecture`` holds keyword overrides; the crossmodal models also
-    take a ready ``CrossModalConfig``.
+    take a ready ``CrossModalConfig``.  Overrides that are not a mapping
+    raise ``TypeError``.
     """
     if cfg.model.startswith("crossmodal"):
-        if architecture is None:
-            architecture = CrossModalConfig()
-        elif isinstance(architecture, Mapping):
-            architecture = CrossModalConfig(**architecture)
+        if not isinstance(architecture, CrossModalConfig):
+            architecture = CrossModalConfig(**(architecture or {}))
         return CrossModalEncoder(architecture, rng)
     arch = dict(architecture or {})
     if cfg.model == "ensemble":
         return EnsembleModel(rng, **arch)
-    if _streams(cfg) == ("audio",):
+    if MODELS[cfg.model] == ("audio",):
         return CnnClassifier(rng, 1, (MEL_FRAMES, MEL_BANDS), **arch)
     return CnnClassifier(rng, 3, (TARGET_SIZE, TARGET_SIZE), **arch)
-
-
-def _streams(cfg: TrainConfig) -> Tuple[str, ...]:
-    """The input streams a run reads, as :data:`MODELS` names them."""
-    return MODELS[cfg.model]
 
 
 def trainable_parameters(model: Module, cfg: TrainConfig) -> List[Tensor]:
@@ -282,7 +276,7 @@ def trainable_parameters(model: Module, cfg: TrainConfig) -> List[Tensor]:
     stream's projection/position/type/block weights (named after their
     stream), so those are left out of the optimizer.
     """
-    unread = tuple(m for m in MODALITIES if m not in _streams(cfg))
+    unread = tuple(m for m in MODALITIES if m not in MODELS[cfg.model])
     return [p for name, p in model.named_parameters().items()
             if not name.startswith(unread)]
 
@@ -313,7 +307,7 @@ def _forward(model: Module, cfg: TrainConfig, store: FeatureStore,
              chunk: Sequence[Example]) -> Tensor:
     """Logits for one batch of (record, soundtrack, photo) examples."""
     stacks, index = {}, {}
-    for stream in _streams(cfg):
+    for stream in MODELS[cfg.model]:
         stacks[stream], index[stream] = _stack(store, chunk, stream)
     # popped into the call, so no local holds a stack and the model can drop
     # it once it has its own view
@@ -439,7 +433,7 @@ class ReportRow:
     seed: Optional[int] = None
 
 
-_GRADE_NAMES = ("H", "SH", "SS", "S")
+_GRADE_NAMES = tuple(label.name for label in QualityLabel)
 
 
 def format_report(rows: Sequence[ReportRow],

@@ -186,7 +186,9 @@ def test_criterion_1_gradient_suite():
     assert err < 1e-3, f"ensemble end-to-end gradient error {err:.2e}"
     worst = max(worst, err)
 
-    # token encoder: fused, unimodal, and pretraining losses
+    # token encoder: fused, unimodal, and pretraining losses (for some
+    # draws a 1e-4 probe steps across a rectifier kink, so the step is
+    # smaller still)
     tiny = CrossModalConfig(token_dim=8, heads=2, modality_blocks=1,
                             joint_blocks=1, mlp_ratio=2, head_hidden=6,
                             audio_tokens=3, audio_patch_dim=5,
@@ -195,15 +197,17 @@ def test_criterion_1_gradient_suite():
     enc.cast(np.float64)
     a = Tensor(rng.normal(size=(2, 3, 5)))
     v = Tensor(rng.normal(size=(2, 2, 7)))
-    err = grad_check(lambda at, vt: ce(enc.forward_tokens(at, vt)), [a, v])
-    err = max(err, grad_check(lambda at: ce(enc.unimodal_tokens(at, "audio")), a))
+    err = grad_check(lambda at, vt: ce(enc.forward_tokens(at, vt)), [a, v], eps=1e-6)
+    err = max(err, grad_check(lambda at: ce(enc.unimodal_tokens(at, "audio")), a,
+                              eps=1e-6))
     err = max(err, _param_check(
         enc, ["audio_proj.bias", "head.out.weight", "joint_blocks.0.ln1.gamma"],
-        lambda: ce(enc.forward_tokens(a, v))))
+        lambda: ce(enc.forward_tokens(a, v)), eps=1e-6))
     pre = MaePretrainer(enc, np.random.default_rng(104))
     pre.cast(np.float64)
     mask = pre.sample_mask(np.random.default_rng(105), 2)
-    err = max(err, grad_check(lambda at, vt: pre.loss(at, vt, mask)[0], [a, v]))
+    err = max(err, grad_check(lambda at, vt: pre.loss(at, vt, mask)[0], [a, v],
+                              eps=1e-6))
     assert err < 1e-3, f"token-encoder end-to-end gradient error {err:.2e}"
     worst = max(worst, err)
 
@@ -229,14 +233,12 @@ def test_criterion_2_dsp_oracle():
     peak = A.detect_peak(w)
     assert peak == sr
     cropped = A.crop_segment(w, peak)
-    assert cropped.samples.shape == (19200,)
+    assert cropped.shape == (19200,)
     start = sr - round(0.1 * sr)
-    np.testing.assert_allclose(
-        cropped.samples, w.samples[start:start + 19200])
+    np.testing.assert_allclose(cropped, w[start:start + 19200])
     assert start == 43200 and start + 19200 == 62400
     resampled = A.resample(cropped)
-    assert resampled.sample_rate == 22050
-    assert resampled.samples.shape == (8820,)
+    assert resampled.shape == (8820,)
     mel = A.preprocess_audio(wav)
     assert mel.shape == (1024, 128)
     impulse_time = time.monotonic() - t0
@@ -245,7 +247,7 @@ def test_criterion_2_dsp_oracle():
     # whose triangular support contains 1 kHz
     t = np.arange(8820) / 22050.0
     tone = np.sin(2 * np.pi * 1000.0 * t)
-    mel_tone = A.mel_spectrogram(A.WaveBuffer(tone, 22050))
+    mel_tone = A.mel_spectrogram(tone)
     points = A._mel_to_hz(np.linspace(0.0, A._hz_to_mel(11025.0), 130))
     containing = {b for b in range(128) if points[b] < 1000.0 < points[b + 2]}
     frame_bands = set(np.argmax(mel_tone[64:960], axis=1).tolist())

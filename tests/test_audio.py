@@ -16,7 +16,6 @@ from pineq.audio import (
     SilentInputError,
     UnsupportedRateError,
     UnsupportedWavError,
-    WaveBuffer,
     crop_segment,
     detect_peak,
     mel_spectrogram,
@@ -53,10 +52,8 @@ def make_wav(samples_i16, sample_rate=48000, channels=1, bits=16, fmt=1,
 
 def test_read_wav_scaling_is_exact():
     wav = make_wav([0, 16384, -16384, 32767, -32768])
-    buf = read_wav(wav)
-    assert buf.sample_rate == 48000
     np.testing.assert_array_equal(
-        buf.samples,
+        read_wav(wav),
         np.array([0.0, 0.5, -0.5, 32767 / 32768, -1.0]),
     )
 
@@ -64,9 +61,8 @@ def test_read_wav_scaling_is_exact():
 def test_read_wav_stereo_averages_channels():
     # interleaved L/R pairs
     wav = make_wav([1000, 3000, -2000, 2000], channels=2)
-    buf = read_wav(wav)
     np.testing.assert_allclose(
-        buf.samples, np.array([2000.0, 0.0]) / 32768, rtol=0, atol=0
+        read_wav(wav), np.array([2000.0, 0.0]) / 32768, rtol=0, atol=0
     )
 
 
@@ -77,8 +73,7 @@ def test_read_wav_skips_unknown_chunks():
     junk = b"LIST" + struct.pack("<I", 4) + b"info"
     spliced = head + junk + b"data" + data_part
     spliced = spliced[:4] + struct.pack("<I", len(spliced) - 8) + spliced[8:]
-    buf = read_wav(spliced)
-    assert len(buf.samples) == 3
+    assert len(read_wav(spliced)) == 3
 
 
 def test_read_wav_rejects_bad_magic():
@@ -109,13 +104,21 @@ def test_read_wav_rejects_three_channels():
         read_wav(make_wav([0, 0, 0], channels=3))
 
 
+def test_read_wav_rejects_other_rates():
+    # the chain's one rate check: every later stage assumes 48 kHz input
+    wav = make_wav([0, 1], sample_rate=44100)
+    with pytest.raises(UnsupportedRateError, match="capture rate 44100, expected 48000"):
+        read_wav(wav)
+    with pytest.raises(UnsupportedRateError):
+        preprocess_audio(wav)
+
+
 def test_write_wav_roundtrip():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, 500)
     back = read_wav(write_wav(x, 48000))
-    assert back.sample_rate == 48000
     # quantized to int16, so exact to within one step
-    np.testing.assert_allclose(back.samples, x, atol=1.0 / 32768)
+    np.testing.assert_allclose(back, x, atol=1.0 / 32768)
 
 
 # ---------------------------------------------------------------------------
@@ -124,52 +127,49 @@ def test_write_wav_roundtrip():
 
 
 def test_normalize_amplitude_to_unit_interval():
-    w = WaveBuffer(np.array([-0.5, 0.0, 0.25, 1.0]), 48000)
-    n = normalize_amplitude(w)
-    np.testing.assert_allclose(n.samples, np.array([0.0, 1 / 3, 0.5, 1.0]))
-    assert n.samples.min() == 0.0 and n.samples.max() == 1.0
+    n = normalize_amplitude(np.array([-0.5, 0.0, 0.25, 1.0]))
+    np.testing.assert_allclose(n, np.array([0.0, 1 / 3, 0.5, 1.0]))
+    assert n.min() == 0.0 and n.max() == 1.0
 
 
 def test_normalize_amplitude_rejects_constant_signal():
     with pytest.raises(SilentInputError):
-        normalize_amplitude(WaveBuffer(np.full(100, 0.25), 48000))
+        normalize_amplitude(np.full(100, 0.25))
 
 
 def test_detect_peak_first_of_ties():
-    w = WaveBuffer(np.array([0.1, 0.9, 0.3, 0.9, 0.0]), 48000)
-    assert detect_peak(w) == 1
+    assert detect_peak(np.array([0.1, 0.9, 0.3, 0.9, 0.0])) == 1
 
 
 def test_crop_window_for_centred_peak():
     x = np.zeros(3 * 48000)
     x[48000] = 1.0
-    w = WaveBuffer(x, 48000)
-    seg = crop_segment(w, 48000)
-    assert len(seg.samples) == 19200
+    seg = crop_segment(x, 48000)
+    assert len(seg) == 19200
     # the window is [peak - 0.1 s, peak + 0.3 s) == [43200, 62400)
     marker = np.zeros(3 * 48000)
     marker[43200] = 0.5
     marker[62399] = 0.25
-    seg2 = crop_segment(WaveBuffer(marker, 48000), 48000)
-    assert seg2.samples[0] == 0.5
-    assert seg2.samples[-1] == 0.25
+    seg2 = crop_segment(marker, 48000)
+    assert seg2[0] == 0.5
+    assert seg2[-1] == 0.25
 
 
 def test_crop_zero_pads_leading_edge():
     x = np.arange(1, 3 * 48000 + 1, dtype=np.float64) / 1e9
-    seg = crop_segment(WaveBuffer(x, 48000), 1000)
-    assert len(seg.samples) == 19200
-    np.testing.assert_array_equal(seg.samples[:3800], np.zeros(3800))
-    assert seg.samples[3800] == x[0]
+    seg = crop_segment(x, 1000)
+    assert len(seg) == 19200
+    np.testing.assert_array_equal(seg[:3800], np.zeros(3800))
+    assert seg[3800] == x[0]
 
 
 def test_crop_zero_pads_trailing_edge():
     n = 2 * 48000
     x = np.ones(n)
-    seg = crop_segment(WaveBuffer(x, 48000), n - 1)
-    assert len(seg.samples) == 19200
-    np.testing.assert_array_equal(seg.samples[-14399:], np.zeros(14399))
-    assert seg.samples[4800] == 1.0
+    seg = crop_segment(x, n - 1)
+    assert len(seg) == 19200
+    np.testing.assert_array_equal(seg[-14399:], np.zeros(14399))
+    assert seg[4800] == 1.0
 
 
 def test_crop_length_invariant_for_random_peaks():
@@ -177,16 +177,13 @@ def test_crop_length_invariant_for_random_peaks():
     x = rng.uniform(0, 1, 48000)
     for _ in range(20):
         peak = int(rng.integers(0, len(x)))
-        seg = crop_segment(WaveBuffer(x, 48000), peak)
-        assert len(seg.samples) == 19200
-    # non-48k rates still give round(0.4 * sr)
-    seg = crop_segment(WaveBuffer(x[:22050], 22050), 100)
-    assert len(seg.samples) == 8820
+        seg = crop_segment(x, peak)
+        assert len(seg) == 19200
 
 
 def test_crop_rejects_out_of_range_peak():
     with pytest.raises(ValueError):
-        crop_segment(WaveBuffer(np.zeros(100), 48000), 100)
+        crop_segment(np.zeros(100), 100)
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +193,24 @@ def test_crop_rejects_out_of_range_peak():
 
 def test_resample_length_formula():
     rng = np.random.default_rng(7)
-    assert len(resample(WaveBuffer(np.zeros(19200), 48000)).samples) == 8820
+    assert len(resample(np.zeros(19200))) == 8820
     for _ in range(100):
         n = int(rng.integers(64, 100_000))
-        out = resample(WaveBuffer(rng.uniform(-1, 1, n), 48000))
-        assert out.sample_rate == 22050
+        out = resample(rng.uniform(-1, 1, n))
         expected = (n * 147 + 160) // 320  # round(n * 147/320), half away from zero
-        assert len(out.samples) == expected
+        assert len(out) == expected
 
 
 def test_resample_preserves_dc_exactly():
     for c in (0.37, -1.0, 123.456):
-        out = resample(WaveBuffer(np.full(19200, c), 48000))
-        np.testing.assert_array_equal(out.samples, np.full(8820, c))
+        out = resample(np.full(19200, c))
+        np.testing.assert_array_equal(out, np.full(8820, c))
 
 
 def test_resample_keeps_1khz_tone_at_1khz():
     t = np.arange(48000) / 48000.0
     tone = np.sin(2 * np.pi * 1000.0 * t)
-    out = resample(WaveBuffer(tone, 48000)).samples
+    out = resample(tone)
     spec = np.abs(np.fft.rfft(out * np.hanning(len(out))))
     freqs = np.fft.rfftfreq(len(out), 1 / 22050.0)
     peak_hz = freqs[spec.argmax()]
@@ -224,16 +220,11 @@ def test_resample_keeps_1khz_tone_at_1khz():
 def test_resample_attenuates_out_of_band_noise():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(48000)
-    out = resample(WaveBuffer(x, 48000)).samples
+    out = resample(x)
     # energy above the 11.025 kHz cutoff must mostly vanish; compare the
     # variance ratio to the ideal 22050/48000 band fraction
     assert out.var() < 0.55 * x.var()
     assert out.var() > 0.25 * x.var()
-
-
-def test_resample_rejects_other_rates():
-    with pytest.raises(UnsupportedRateError):
-        resample(WaveBuffer(np.zeros(100), 44100))
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +254,35 @@ def reference_filterbank():
 def test_mel_shape_is_exactly_1024_by_128():
     rng = np.random.default_rng(13)
     for n in (1, 100, 8192, 8820, 19200):
-        m = mel_spectrogram(WaveBuffer(rng.uniform(0, 1, n), 22050))
+        m = mel_spectrogram(rng.uniform(0, 1, n))
         assert m.shape == (1024, 128)
         assert m.dtype == np.float32
 
 
 def test_mel_of_silence_is_floor_everywhere():
-    m = mel_spectrogram(WaveBuffer(np.zeros(8820), 22050))
+    m = mel_spectrogram(np.zeros(8820))
     np.testing.assert_array_equal(m, np.full((1024, 128), np.log(1e-10), np.float32))
 
 
 def test_mel_entries_never_below_floor():
     rng = np.random.default_rng(17)
-    m = mel_spectrogram(WaveBuffer(rng.uniform(0, 1, 8820), 22050))
+    m = mel_spectrogram(rng.uniform(0, 1, 8820))
     assert (m >= np.float32(np.log(1e-10))).all()
 
 
 def test_mel_monotone_in_signal_scale():
     rng = np.random.default_rng(19)
     x = rng.uniform(-1, 1, 8820)
-    m1 = mel_spectrogram(WaveBuffer(x, 22050))
-    m2 = mel_spectrogram(WaveBuffer(2.0 * x, 22050))
+    m1 = mel_spectrogram(x)
+    m2 = mel_spectrogram(2.0 * x)
     assert (m2 >= m1).all()
 
 
 def test_mel_is_deterministic():
     rng = np.random.default_rng(23)
     x = rng.uniform(-1, 1, 8820)
-    a = mel_spectrogram(WaveBuffer(x, 22050))
-    b = mel_spectrogram(WaveBuffer(x.copy(), 22050))
+    a = mel_spectrogram(x)
+    b = mel_spectrogram(x.copy())
     assert a.tobytes() == b.tobytes()
 
 
@@ -308,7 +299,7 @@ def test_mel_tone_lands_in_expected_band():
 
     t = np.arange(8820) / 22050.0
     tone = np.sin(2 * np.pi * 1000.0 * t)
-    m = mel_spectrogram(WaveBuffer(tone, 22050))
+    m = mel_spectrogram(tone)
     interior = m[64:960]
     hits = (interior.argmax(axis=1) == expected).mean()
     assert hits == 1.0, f"argmax band drifted: {hits:.3f} agree, expected bin {expected}"

@@ -283,7 +283,8 @@ def test_mixed_grid_with_pretraining_is_usage_error(tmp_path, capsys):
     ('{"model": "cnn-audio"}', "missing architecture"),
     ('{"model": "cnn", "kind": "cnn-unimodal", "modality": "audio", "architecture": {}}',
      "unknown model 'cnn'; choose from cnn-audio, cnn-visual,"),
-], ids=["corrupt-json", "no-model", "no-architecture", "old-cnn"])
+    ('{"model": "crossmodal", "architecture": [1]}', "must be a mapping, not list"),
+], ids=["corrupt-json", "no-model", "no-architecture", "old-cnn", "list-architecture"])
 def test_eval_bad_sidecar_is_data_error_naming_it(trained_dir, tmp_path, capsys,
                                                    sidecar, reason):
     for name in ("model.ckpt", "model.ckpt.idx"):

@@ -292,7 +292,7 @@ def test_generator_structure_and_loadability(tmp_path):
     assert build_test_pairs(rec)  # 4x4 views exist
     # media parse through the real pipelines
     wav = (corpus.root / rec.audio[0].path).read_bytes()
-    assert audio_mod.read_wav(wav).sample_rate == 48000
+    assert audio_mod.read_wav(wav).ndim == 1  # a 48 kHz capture; other rates raise
     img = image_mod.read_image((corpus.root / rec.photos[0].path).read_bytes())
     assert img.shape[2] == 3
     # the manifest loads back to identical metadata

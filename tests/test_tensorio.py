@@ -92,6 +92,28 @@ def test_checkpoint_rejects_index_shape_mismatch(tmp_path):
         load_checkpoint(ckpt)
 
 
+def test_checkpoint_truncated_payload_names_the_file(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, {"w": np.ones((2, 3), dtype=np.float32),
+                           "b": np.ones((200,), dtype=np.float32)})
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(ckpt)
+    assert str(info.value).startswith(f"{ckpt}: tensor b (index line 2): truncated payload")
+
+
+def test_checkpoint_malformed_index_line_names_the_index(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, {"w": np.ones((2, 3), dtype=np.float32)})
+    idx = tmp_path / "model.ckpt.idx"
+    for junk in ("junk", "w zero 2x3"):
+        idx.write_text("w 0 2x3\n" + junk + "\n")
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(ckpt)
+        assert str(info.value) == (
+            f"{idx}: line 2 is not 'name offset shape': {junk!r}")
+
+
 def test_checkpoint_offsets_are_real_containers(tmp_path):
     named = {"a": np.zeros((2, 2), dtype=np.float32),
              "b": np.ones((3,), dtype=np.float32)}
