@@ -125,10 +125,11 @@ def read_wav(data: bytes) -> np.ndarray:
         raise UnsupportedWavError(f"{channels} channels, expected 1 or 2")
     if rate != CAPTURE_RATE:
         raise UnsupportedRateError(f"capture rate {rate}, expected {CAPTURE_RATE}")
+    if len(raw) % (2 * channels):
+        raise MalformedWavError(
+            f"data chunk of {len(raw)} bytes is not whole {channels}-channel PCM16 frames")
     frames = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels == 2:
-        if len(frames) % 2:
-            raise MalformedWavError("odd sample count for stereo data")
         frames = frames.reshape(-1, 2).mean(axis=1)
     return frames
 

@@ -87,17 +87,6 @@ def _csv_ints(text: str) -> List[int]:
     return [int(t) for t in _csv_strs(text)]
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("not a boolean")
-
-
 def read_config(path: str) -> Dict[str, str]:
     """Parse a plain key=value file; '#' starts a comment."""
     mapping: Dict[str, str] = {}
@@ -164,29 +153,20 @@ class _Options:
         return lines
 
 
-def _corpus_arg(opts: _Options, out: Optional[Path]) -> Callable[[], Corpus]:
-    """Resolve --corpus, or --synthetic with its --records/--corpus-seed, into
-    a loader of the Corpus.
+def _corpus_arg(opts: _Options) -> Callable[[], Corpus]:
+    """Resolve --corpus, a corpus directory or its manifest, into a loader of
+    the Corpus.
 
-    The flags are read (and echoed) now; nothing is read or written until the
-    loader is called, so a caller can validate its other flags first.
+    The flag is read (and echoed) now; nothing is read until the loader is
+    called, so a caller can validate its other flags first.
     """
     corpus_path = opts.get("corpus", None)
-    if not opts.get("synthetic", False, _bool):
-        del opts.effective["synthetic"]
-        if not corpus_path:
-            raise UsageError("one of --corpus or --synthetic is required")
-        path = Path(corpus_path)
-        if path.is_dir():
-            path = path / "manifest.txt"
-        return partial(load_corpus, path)
-    if corpus_path:
-        raise UsageError("--corpus and --synthetic are mutually exclusive")
-    if out is None:
-        raise UsageError("--synthetic requires --out for the generated corpus")
-    cfg = _config(SyntheticConfig, records=opts.get("records", 80, int),
-                  seed=opts.get("corpus-seed", 0, int))
-    return partial(generate_synthetic, cfg, out / "corpus")
+    if not corpus_path:
+        raise UsageError("--corpus is required")
+    path = Path(corpus_path)
+    if path.is_dir():
+        path = path / "manifest.txt"
+    return partial(load_corpus, path)
 
 
 def _config(cls, **values):
@@ -249,9 +229,12 @@ def load_model(ckpt_path: Path):
             raise ValueError(f"missing {', '.join(missing)}")
         cfg = TrainConfig(model=meta["model"])
         model = build_model(cfg, np.random.default_rng(0), meta["architecture"])
-    except (TypeError, ValueError) as exc:  # malformed JSON, missing keys or bad values
-        raise ValueError(f"{sidecar}: {exc}") from exc
-    model.load_state_dict(state)
+        model.load_state_dict(state)
+    except (KeyError, TypeError, ValueError) as exc:
+        # malformed JSON, missing keys, bad values, or weights that do not fit
+        # the architecture (a KeyError, whose str() would quote its message)
+        reason = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{sidecar}: {reason} (weights {ckpt_path})") from exc
     return model, cfg
 
 
@@ -288,7 +271,7 @@ def cmd_synth(opts: _Options) -> int:
 
 def cmd_split(opts: _Options) -> int:
     out = opts.out(required=False)
-    load = _corpus_arg(opts, out)
+    load = _corpus_arg(opts)
     seed = opts.get("seed", 0, int, lambda s: s >= 0)
     corpus = load()
     train_recs, test_recs = stratified_split(list(corpus.records), seed=seed)
@@ -306,7 +289,7 @@ def cmd_split(opts: _Options) -> int:
 
 def cmd_sample(opts: _Options) -> int:
     out = opts.out(required=False)
-    load = _corpus_arg(opts, out)
+    load = _corpus_arg(opts)
     strategy = opts.get("strategy", "random", str, STRATEGIES.__contains__)
     samples = opts.get("samples-per-record", 8, int, lambda s: s >= 1)
     seed = opts.get("seed", 0, int, lambda s: s >= 0)
@@ -326,8 +309,8 @@ def cmd_sample(opts: _Options) -> int:
 
 def cmd_train(opts: _Options) -> int:
     out = opts.out(required=True)
-    load = _corpus_arg(opts, out)
-    spec = _spec_arg(opts, grid=False)  # a usage error writes no corpus
+    load = _corpus_arg(opts)
+    spec = _spec_arg(opts, grid=False)  # a usage error wins over a bad corpus
     corpus = load()
     (key,) = spec.cells()
     cell, result = run_cell(spec, FeatureStore(corpus), key, draw_cell(corpus, key))
@@ -351,7 +334,7 @@ def cmd_eval(opts: _Options) -> int:
         raise UsageError("--model checkpoint path is required")
     model, cfg = load_model(Path(ckpt))  # before corpus resolution
     out = opts.out(required=False)
-    load = _corpus_arg(opts, out)
+    load = _corpus_arg(opts)
     seed = opts.get("seed", 0, int, lambda s: s >= 0)
     corpus = load()
     _, test_recs, test_pairs = held_out(corpus, seed)
@@ -368,8 +351,8 @@ def cmd_eval(opts: _Options) -> int:
 
 def cmd_experiment(opts: _Options) -> int:
     out = opts.out(required=True)
-    load = _corpus_arg(opts, out)
-    spec = _spec_arg(opts, grid=True)  # a usage error writes no corpus
+    load = _corpus_arg(opts)
+    spec = _spec_arg(opts, grid=True)  # a usage error wins over a bad corpus
     corpus = load()
     result = run_experiment(spec, corpus, extra_header=opts.header())
     write_outputs(result, out)
@@ -387,10 +370,7 @@ def cmd_experiment(opts: _Options) -> int:
 def _add_common(p: _Parser, *names: str) -> None:
     specs = {
         "corpus": dict(help="corpus directory or manifest path"),
-        "synthetic": dict(action="store_true",
-                          help="generate a synthetic corpus under --out"),
         "records": dict(help="synthetic corpus size"),
-        "corpus-seed": dict(help="synthetic corpus seed"),
         "seed": dict(help="seed (comma-separated list for experiment)"),
         "model": dict(help="model name or checkpoint path for eval"),
         "strategy": dict(help="pair sampling strategy"),
@@ -411,23 +391,20 @@ def build_parser() -> _Parser:
                    "image-height", "audio-separability", "visual-separability",
                    "noise", "config"]),
         "split": (cmd_split, "stratified 4:1 record split",
-                  ["corpus", "synthetic", "records", "corpus-seed", "seed",
-                   "out", "config"]),
+                  ["corpus", "seed", "out", "config"]),
         "sample": (cmd_sample, "draw (soundtrack, photo) training pairs",
-                   ["corpus", "synthetic", "records", "corpus-seed", "strategy",
-                    "samples-per-record", "seed", "out", "config"]),
+                   ["corpus", "strategy", "samples-per-record", "seed", "out",
+                    "config"]),
         "train": (cmd_train, "run one experiment cell and checkpoint its model",
-                  ["corpus", "synthetic", "records", "corpus-seed", "model",
-                   "strategy", "samples-per-record", "seed", "epochs", "batch",
-                   "lr", "smoothing", "pretrain-steps", "out", "config"]),
+                  ["corpus", "model", "strategy", "samples-per-record", "seed",
+                   "epochs", "batch", "lr", "smoothing", "pretrain-steps", "out",
+                   "config"]),
         "eval": (cmd_eval, "score a checkpoint on held-out records",
-                 ["model", "corpus", "synthetic", "records", "corpus-seed",
-                  "seed", "out", "config"]),
+                 ["model", "corpus", "seed", "out", "config"]),
         "experiment": (cmd_experiment, "run the full evaluation grid",
-                       ["corpus", "synthetic", "records", "corpus-seed",
-                        "model", "strategy", "samples-per-record", "seed",
-                        "epochs", "batch", "lr", "smoothing", "pretrain-steps",
-                        "out", "config"]),
+                       ["corpus", "model", "strategy", "samples-per-record",
+                        "seed", "epochs", "batch", "lr", "smoothing",
+                        "pretrain-steps", "out", "config"]),
     }
     for name, (func, help_text, flags) in defs.items():
         p = sub.add_parser(name, prog=f"pineq {name}", help=help_text,

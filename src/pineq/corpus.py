@@ -53,6 +53,7 @@ __all__ = [
     "CorpusError",
     "InfeasibleSampleError",
     "QualityLabel",
+    "N_CLASSES",
     "MediaMeta",
     "PineappleRecord",
     "Corpus",
@@ -86,6 +87,8 @@ class QualityLabel(IntEnum):
     SS = 2
     S = 3
 
+
+N_CLASSES = len(QualityLabel)
 
 _SURFACES = ("side", "bottom")
 _MIC_TYPES = ("unidirectional", "omnidirectional")

@@ -52,6 +52,7 @@ from .autodiff import (
     softmax,
     take,
 )
+from .corpus import N_CLASSES
 from .nn import LayerNorm, Linear, Module, TransformerBlock
 
 __all__ = [
@@ -182,10 +183,9 @@ class CnnBackbone(Module):
 class MlpHead(Module):
     """Two-layer rectifier MLP ending in grade logits."""
 
-    def __init__(self, in_dim: int, hidden: int, classes: int,
-                 rng: np.random.Generator):
+    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         self.fc1 = Linear(in_dim, hidden, rng)
-        self.out = Linear(hidden, classes, rng)
+        self.out = Linear(hidden, N_CLASSES, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.out(self.fc1(x).relu())
@@ -196,9 +196,9 @@ class CnnClassifier(Module):
 
     def __init__(self, rng: np.random.Generator, in_channels: int,
                  in_hw: Tuple[int, int], embed_dim: int = 128,
-                 head_hidden: int = 64, classes: int = 4):
+                 head_hidden: int = 64):
         self.backbone = CnnBackbone(in_channels, in_hw, embed_dim, rng)
-        self.head = MlpHead(embed_dim, head_hidden, classes, rng)
+        self.head = MlpHead(embed_dim, head_hidden, rng)
 
     def forward(self, x: np.ndarray | Tensor, index=None) -> Tensor:
         """(N, C, H, W) feature maps -> (N, classes) logits, or the rows
@@ -219,11 +219,10 @@ class EnsembleModel(Module):
 
     def __init__(self, rng: np.random.Generator, mel_shape: Tuple[int, int] = (1024, 128),
                  image_hw: Tuple[int, int] = (224, 224), embed_dim: int = 128,
-                 head_hidden: int = 64, classes: int = 4):
-        self.mel_shape = mel_shape
+                 head_hidden: int = 64):
         self.audio_net = CnnBackbone(1, mel_shape, embed_dim, rng)
         self.visual_net = CnnBackbone(3, image_hw, embed_dim, rng)
-        self.head = MlpHead(2 * embed_dim, head_hidden, classes, rng)
+        self.head = MlpHead(2 * embed_dim, head_hidden, rng)
 
     def forward(self, mel: np.ndarray | Tensor, image: np.ndarray | Tensor,
                 audio_index=None, visual_index=None) -> Tensor:
@@ -263,7 +262,6 @@ class CrossModalConfig:
     joint_blocks: int = 2
     mlp_ratio: int = 2
     head_hidden: int = 64
-    classes: int = 4
     audio_tokens: int = 512
     audio_patch_dim: int = 256
     visual_tokens: int = 196
@@ -273,8 +271,8 @@ class CrossModalConfig:
         if self.token_dim % self.heads != 0:
             raise ShapeError(f"token dim {self.token_dim} not divisible by {self.heads} heads")
         for name in ("token_dim", "heads", "modality_blocks", "joint_blocks",
-                     "mlp_ratio", "head_hidden", "classes", "audio_tokens",
-                     "audio_patch_dim", "visual_tokens", "visual_patch_dim"):
+                     "mlp_ratio", "head_hidden", "audio_tokens", "audio_patch_dim",
+                     "visual_tokens", "visual_patch_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -319,7 +317,7 @@ class CrossModalEncoder(Module):
             for _ in range(cfg.joint_blocks)
         ]
         self.final_ln = LayerNorm(c)
-        self.head = MlpHead(c, cfg.head_hidden, cfg.classes, rng)
+        self.head = MlpHead(c, cfg.head_hidden, rng)
 
     def _check_tokens(self, tok: Tensor, n: int, dim: int, what: str) -> None:
         shape = tok.data.shape

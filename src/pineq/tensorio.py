@@ -13,6 +13,7 @@ tensor, in insertion order.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def tensor_from_bytes(data: bytes | memoryview) -> np.ndarray:
     if len(data) < need:
         raise FormatError("truncated extents")
     shape = struct.unpack(f"<{rank}I", data[8:need])
-    count = int(np.prod(shape)) if rank else 1
+    count = math.prod(shape)  # Python ints cannot wrap; 1 for rank 0
     end = need + 4 * count
     if len(data) < end:
         raise FormatError(

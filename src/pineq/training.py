@@ -35,7 +35,14 @@ import numpy as np
 
 from .audio import MEL_BANDS, MEL_FRAMES, preprocess_audio
 from .autodiff import Adam, Tensor, log_softmax, no_grad
-from .corpus import Corpus, MediaMeta, PineappleRecord, QualityLabel, class_weights
+from .corpus import (
+    N_CLASSES,
+    Corpus,
+    MediaMeta,
+    PineappleRecord,
+    QualityLabel,
+    class_weights,
+)
 from .image import TARGET_SIZE, preprocess_image
 from .models import (
     CnnClassifier,
@@ -63,7 +70,6 @@ MODELS: Dict[str, Tuple[str, ...]] = {
     "crossmodal-audio": ("audio",),
     "crossmodal-visual": ("visual",),
 }
-N_CLASSES = len(QualityLabel)
 
 
 # ---------------------------------------------------------------------------

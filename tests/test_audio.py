@@ -66,6 +66,15 @@ def test_read_wav_stereo_averages_channels():
     )
 
 
+@pytest.mark.parametrize("channels, data", [
+    (1, b"\x01\x02\x03"),
+    (2, struct.pack("<3h", 1, 2, 3)),
+], ids=["mono-odd-bytes", "stereo-three-samples"])
+def test_read_wav_rejects_partial_frames(channels, data):
+    with pytest.raises(MalformedWavError, match="not whole"):
+        read_wav(make_wav([], channels=channels, data_override=data))
+
+
 def test_read_wav_skips_unknown_chunks():
     plain = make_wav([1, 2, 3])
     # splice a junk chunk between fmt and data

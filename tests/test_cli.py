@@ -68,6 +68,14 @@ def test_readme_commands_parse_and_name_known_models():
             assert not unknown, f"README: pineq {' '.join(argv)}"
 
 
+def test_only_synth_makes_a_corpus_and_the_rest_read_one():
+    parser = build_parser()
+    for name in ("synth", "split", "sample", "train", "eval", "experiment"):
+        options = vars(parser.parse_args([name]))
+        assert ("records" in options) == (name == "synth"), name
+        assert ("corpus" in options) == (name != "synth"), name
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     for name in ("frobnicate", "preprocess"):
         assert main([name]) == 1
@@ -157,13 +165,6 @@ def test_corrupt_wav_is_data_error_naming_the_file(corpus_dir, tmp_path, capsys)
         f"error: {meta.path}: missing RIFF/WAVE header"
 
 
-def test_corpus_report_echoes_no_synthetic_settings(trained_dir):
-    report = (trained_dir / "report.txt").read_text().splitlines()
-    echoed = {l[2:].split(":")[0] for l in report if l.startswith("# ")}
-    assert "corpus" in echoed
-    assert not echoed & {"synthetic", "records", "corpus-seed"}
-
-
 def test_eval_reproduces_train_accuracy(corpus_dir, trained_dir, capsys):
     assert main(["eval", "--model", str(trained_dir / "model.ckpt"),
                  "--corpus", str(corpus_dir), "--seed", "0"]) == 0
@@ -175,8 +176,12 @@ def test_eval_reproduces_train_accuracy(corpus_dir, trained_dir, capsys):
 
 def test_eval_split_that_holds_no_record_out_names_the_seed(trained_dir, tmp_path,
                                                            capsys):
-    rc = main(["eval", "--model", str(trained_dir / "model.ckpt"), "--synthetic",
-               "--records", "4", "--out", str(tmp_path / "e")])
+    small = tmp_path / "corpus"
+    assert main(["synth", "--records", "4", "--out", str(small),
+                 "--audio-seconds", "0.25", "--image-width", "32",
+                 "--image-height", "24"]) == 0
+    rc = main(["eval", "--model", str(trained_dir / "model.ckpt"),
+               "--corpus", str(small), "--out", str(tmp_path / "e")])
     assert rc == 2
     assert "seed 0: the split of 4 records holds none out" in capsys.readouterr().err
 
@@ -194,8 +199,6 @@ def test_eval_without_corpus_is_usage_error(trained_dir, capsys):
 def test_usage_errors(corpus_dir, tmp_path, capsys):
     cases = [
         ["train", "--corpus", str(corpus_dir)],                      # no --out
-        ["train", "--corpus", str(corpus_dir), "--synthetic",
-         "--out", str(tmp_path / "x")],                              # exclusive
         ["train", "--corpus", str(corpus_dir), "--model", "resnext",
          "--out", str(tmp_path / "x")],
         ["sample", "--corpus", str(corpus_dir), "--strategy", "greedy"],
@@ -209,33 +212,42 @@ def test_usage_errors(corpus_dir, tmp_path, capsys):
         assert capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["synth", "--noise", "2"],
-    ["train", "--synthetic", "--records", "0"],
-    ["split", "--synthetic", "--records", "4", "--seed", "abc"],
-    ["sample", "--synthetic", "--records", "4", "--samples-per-record", "x"],
-    ["experiment", "--synthetic", "--records", "4", "--seed", "-1"],
-    ["split", "--synthetic", "--records", "4", "--seed", "-1"],
-    ["sample", "--synthetic", "--records", "4", "--seed", "-1"],
-    ["sample", "--synthetic", "--records", "4", "--samples-per-record", "0"],
-    ["eval", "--model", "CKPT", "--synthetic", "--records", "4", "--seed", "-1"],
-], ids=["synth-noise", "synthetic-records", "split-seed", "sample-samples",
+# a bad value is caught before the corpus is read, so a corpus path that does
+# not exist turns any flag check that was skipped into a data error (exit 2)
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--noise", "2"], "noise must be in [0, 1], got 2.0"),
+    (["synth", "--records", "0"], "need at least one record"),
+    (["split", "--corpus", "MISSING", "--seed", "abc"], "invalid value for --seed: 'abc'"),
+    (["sample", "--corpus", "MISSING", "--samples-per-record", "x"],
+     "invalid value for --samples-per-record: 'x'"),
+    (["experiment", "--corpus", "MISSING", "--seed", "-1"],
+     "seeds must be non-empty non-negative ints"),
+    (["split", "--corpus", "MISSING", "--seed", "-1"], "invalid value for --seed: -1"),
+    (["sample", "--corpus", "MISSING", "--seed", "-1"], "invalid value for --seed: -1"),
+    (["sample", "--corpus", "MISSING", "--samples-per-record", "0"],
+     "invalid value for --samples-per-record: 0"),
+    (["eval", "--model", "CKPT", "--corpus", "MISSING", "--seed", "-1"],
+     "invalid value for --seed: -1"),
+], ids=["synth-noise", "synth-records", "split-seed", "sample-samples",
         "experiment-negative-seed", "split-negative-seed", "sample-negative-seed",
         "sample-zero-samples", "eval-negative-seed"])
-def test_bad_value_is_usage_error_that_writes_nothing(tmp_path, capsys, request, argv):
+def test_bad_value_is_usage_error_that_writes_nothing(tmp_path, capsys, request, argv,
+                                                      message):
     if "CKPT" in argv:  # only eval needs a checkpoint to reach its flags
         ckpt = request.getfixturevalue("trained_dir") / "model.ckpt"
         argv = [str(ckpt) if a == "CKPT" else a for a in argv]
+    argv = [str(tmp_path / "no-corpus") if a == "MISSING" else a for a in argv]
     out = tmp_path / "d"
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err
+    assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "experiment"])
 def test_unknown_model_is_usage_error_listing_the_models(tmp_path, capsys, command):
     out = tmp_path / "d"
-    assert main([command, "--synthetic", "--model", "cnn", "--out", str(out)]) == 1
+    assert main([command, "--corpus", str(tmp_path / "no-corpus"), "--model", "cnn",
+                 "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "unknown models: ['cnn']; choose from cnn-audio, cnn-visual, ensemble, "
         "crossmodal, crossmodal-audio, crossmodal-visual\n")
@@ -253,28 +265,28 @@ def test_bad_value_gives_one_message_from_flag_or_config(corpus_dir, tmp_path, c
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("line, key", [("sede = 3", "sede"), ("epochs = 3", "epochs")],
-                         ids=["misspelt", "another-command"])
+@pytest.mark.parametrize("line, key", [("sede = 3", "sede"), ("epochs = 3", "epochs"),
+                                       ("records = 8", "records")],
+                         ids=["misspelt", "another-command", "synth-only"])
 def test_config_key_no_option_reads_is_usage_error(tmp_path, capsys, line, key):
     cfg = tmp_path / "split.cfg"
     cfg.write_text(f"seed = 1\n{line}\n")
     out = tmp_path / "split"
-    assert main(["split", "--synthetic", "--records", "8", "--out", str(out),
+    assert main(["split", "--corpus", str(tmp_path / "no-corpus"), "--out", str(out),
                  "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(
         f"{cfg}: not an option of pineq split: {key}; its options are corpus, ")
     assert not out.exists()
 
 
-def test_mixed_grid_with_pretraining_is_usage_error(tmp_path, capsys):
+def test_mixed_grid_with_pretraining_is_usage_error(corpus_dir, tmp_path, capsys):
     out = tmp_path / "grid"
-    rc = main(["experiment", "--synthetic", "--records", "8",
+    rc = main(["experiment", "--corpus", str(corpus_dir),
                "--model", "ensemble,crossmodal", "--pretrain-steps", "2",
                "--out", str(out)])
     assert rc == 1
     assert "pretraining applies only to crossmodal kinds" in capsys.readouterr().err
-    assert not (out / "report.txt").exists()
-    assert not (out / "corpus").exists()  # flags are checked before generation
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sidecar, reason", [
@@ -284,7 +296,10 @@ def test_mixed_grid_with_pretraining_is_usage_error(tmp_path, capsys):
     ('{"model": "cnn", "kind": "cnn-unimodal", "modality": "audio", "architecture": {}}',
      "unknown model 'cnn'; choose from cnn-audio, cnn-visual,"),
     ('{"model": "crossmodal", "architecture": [1]}', "must be a mapping, not list"),
-], ids=["corrupt-json", "no-model", "no-architecture", "old-cnn", "list-architecture"])
+    ('{"model": "crossmodal", "architecture": {"classes": 4}}',
+     "unexpected keyword argument 'classes'"),
+], ids=["corrupt-json", "no-model", "no-architecture", "old-cnn", "list-architecture",
+        "classes"])
 def test_eval_bad_sidecar_is_data_error_naming_it(trained_dir, tmp_path, capsys,
                                                    sidecar, reason):
     for name in ("model.ckpt", "model.ckpt.idx"):
@@ -296,6 +311,26 @@ def test_eval_bad_sidecar_is_data_error_naming_it(trained_dir, tmp_path, capsys,
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"error: {tmp_path / 'model.json'}: "), err
     assert reason in err
+
+
+@pytest.mark.parametrize("field, reason", [
+    ("head_hidden", "head.fc1.weight: checkpoint shape (8, 6) != parameter shape (8, 7)"),
+    ("joint_blocks", "checkpoint mismatch: missing ['joint_blocks.1.attn.wk.bias', "),
+], ids=["head_hidden", "joint_blocks"])
+def test_eval_weights_that_do_not_fit_the_sidecar_name_both_files(tmp_path, capsys,
+                                                                  field, reason):
+    arch = CrossModalConfig(token_dim=8, heads=2, modality_blocks=1, joint_blocks=1,
+                            head_hidden=6)
+    ckpt = tmp_path / "model.ckpt"
+    tensorio.save_checkpoint(ckpt, CrossModalEncoder(arch, np.random.default_rng(3))
+                             .state_dict())
+    grown = dict(dataclasses.asdict(arch), **{field: getattr(arch, field) + 1})
+    (tmp_path / "model.json").write_text(json.dumps(
+        {"model": "crossmodal", "architecture": grown}))
+    assert main(["eval", "--model", str(ckpt), "--corpus", "unused"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'model.json'}: {reason}"), err
+    assert err.endswith(f" (weights {ckpt})\n"), err
 
 
 def test_old_sidecar_with_a_current_model_name_loads(corpus_dir, tmp_path, capsys):

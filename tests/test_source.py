@@ -38,6 +38,42 @@ def test_every_imported_name_is_read(path):
     assert not unread, f"{path.name} imports names it never reads: {unread}"
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Single-underscore names bound at module or class level, with their line."""
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    defined = {}
+    for scope in scopes:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = node.lineno
+    return defined
+
+
+def test_every_private_name_is_read():
+    """A private helper, constant or method that no module of the package
+    reads (as a name or as an attribute) is dead code."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f"{file} line {line}: {name}" for file, tree in trees.items()
+              for name, line in _private_definitions(tree).items() if name not in read]
+    assert not unread, f"private names the package never reads: {unread}"
+
+
 def _traced_boundaries() -> dict:
     """``BOUNDARIES`` of the benchmark tracer, loaded from its file."""
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)

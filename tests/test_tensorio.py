@@ -102,6 +102,18 @@ def test_checkpoint_truncated_payload_names_the_file(tmp_path):
     assert str(info.value).startswith(f"{ckpt}: tensor b (index line 2): truncated payload")
 
 
+def test_extents_whose_product_overflows_int64_are_a_truncated_payload(tmp_path):
+    blob = b"PQCT" + struct.pack("<HH", 1, 4) + struct.pack("<4I", *[65536] * 4)
+    with pytest.raises(FormatError, match="truncated payload"):  # 2**64 elements
+        tensor_from_bytes(blob)
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(blob)
+    (tmp_path / "model.ckpt.idx").write_text("w 0 65536x65536x65536x65536\n")
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(ckpt)
+    assert str(info.value).startswith(f"{ckpt}: tensor w (index line 1): truncated payload")
+
+
 def test_checkpoint_malformed_index_line_names_the_index(tmp_path):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, {"w": np.ones((2, 3), dtype=np.float32)})
