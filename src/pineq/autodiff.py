@@ -33,11 +33,21 @@ Design notes
   differences in float64 and refuses points where a rectifier input is
   exactly zero (the derivative is undefined there, so the check would
   be meaningless).
+* :func:`conv2d` and :func:`maxpool2d` (forward and vjp) and large
+  :class:`Adam` updates split their samples or blocks over the CPUs in
+  the process's affinity (at most two), through one thread pool that the
+  first split starts.  Each sample or block is computed as on one CPU, into its own
+  slice, and the kernel gradient's per-sample terms are summed in sample
+  order, so results are bit for bit the one-CPU results.  The calling
+  thread allocates every worker's scratch, and a forked child runs each
+  op on its own thread only.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -70,6 +80,68 @@ _LOG2E = math.log2(math.e)
 # Queries per block in attention: one block's (B, 128, N) scores is the
 # largest array attention holds, forward or backward.
 ATTENTION_CHUNK = 128
+# Elements per block of an Adam update: a block's operands stay in cache,
+# and a parameter of more blocks than one spreads them over the CPUs.
+ADAM_BLOCK = 65536
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+# Shares an op splits its samples or blocks into: the process's CPUs, but
+# at most two, because each running share of a conv holds its own column
+# block and a conv holds no more than a few sample blocks at once.  A forked
+# child uses one.
+_workers = min(_cpu_count(), 2)
+_pool: ThreadPoolExecutor | None = None  # started by the first split over two CPUs
+
+
+def _forked() -> None:
+    # the parent's threads do not exist in a forked child, and its own
+    # siblings (forked experiment workers) already use the other CPUs
+    global _pool, _workers
+    _pool, _workers = None, 1
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forked)
+
+
+def _per_sample(fn: Callable[[int, object], None], n: int,
+                scratch: Callable[[], object] = lambda: None) -> None:
+    """Call ``fn(i, buf)`` for every ``i`` in ``range(n)``.
+
+    The indices are cut into one contiguous share per worker (at most
+    ``n``); the calling thread runs the first share and pool threads the
+    rest.  ``scratch()`` makes one share's reusable buffer, always on the
+    calling thread, so no worker thread allocates a large array.  With one
+    share everything runs inline.  ``fn`` must write only its own index's
+    slice of any shared output.
+    """
+    global _pool
+    k = max(1, min(_workers, n))
+    bufs = [scratch() for _ in range(k)]
+    cuts = [n * j // k for j in range(k + 1)]
+    errors = np.geterr()  # numpy keeps one per thread; every share takes the caller's
+
+    def share(j: int) -> None:
+        with np.errstate(**errors):
+            for i in range(cuts[j], cuts[j + 1]):
+                fn(i, bufs[j])
+
+    if k > 1 and _pool is None:
+        _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="pineq-op")
+    futures = [_pool.submit(share, j) for j in range(1, k)]
+    try:
+        share(0)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 class ShapeError(ValueError):
@@ -479,14 +551,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _node(out, (q, k, v), vjp, "attention")
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int) -> np.ndarray:
-    """(C*kh*kw, ho*wo) columns of one padded (C, H, W) sample."""
+def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int,
+            cols: np.ndarray) -> np.ndarray:
+    """Fill ``cols`` with the (C*kh*kw, ho*wo) columns of one padded (C, H, W)
+    sample, and return it."""
     c = xp.shape[0]
-    cols = np.empty((c, kh, kw, ho, wo), dtype=xp.dtype)
+    taps = cols.reshape(c, kh, kw, ho, wo)
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + s * ho : s, j : j + s * wo : s]
-    return cols.reshape(c * kh * kw, ho * wo)
+            taps[:, i, j] = xp[:, i : i + s * ho : s, j : j + s * wo : s]
+    return cols
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -494,7 +568,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     ``stride`` and ``padding`` apply equally to both spatial axes.  Forward
     and vjp build one sample's im2col columns at a time (a batch's block is
-    ~100 MB on audio-sized maps); an input that needs no gradient gets none.
+    ~100 MB on audio-sized maps), in one reused block per CPU, and split the
+    samples over the CPUs.  The kernel gradient is the sum, in sample order,
+    of each sample's term, so it has the same bits on any number of CPUs.
+    An input that needs no gradient gets none.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d expects (N,C,H,W) input and (O,C,kh,kw) kernels")
@@ -512,24 +589,35 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
     w2 = w.data.reshape(o, c * kh * kw)
     out = np.empty((n, o, ho * wo), dtype=np.result_type(xp, w2))
-    for b in range(n):
-        np.matmul(w2, _im2col(xp[b], kh, kw, s, ho, wo), out=out[b])
+
+    def columns():
+        return np.empty((c * kh * kw, ho * wo), dtype=out.dtype)
+
+    def forward(b, cols):
+        np.matmul(w2, _im2col(xp[b], kh, kw, s, ho, wo, cols), out=out[b])
+
+    _per_sample(forward, n, columns)
 
     def vjp(g):
         g2 = g.reshape(n, o, ho * wo)
-        dw = np.zeros(w2.shape, dtype=out.dtype)
+        terms = np.empty((n,) + w2.shape, dtype=out.dtype)
         dxp = np.zeros_like(xp) if x.requires_grad else None
-        for b in range(n):
+
+        def backward(b, cols):
             # recompute columns rather than closing over them: on audio-sized
             # maps stored columns would be the dominant memory cost
-            cols_b = _im2col(xp[b], kh, kw, s, ho, wo)
-            dw += g2[b] @ cols_b.T
+            np.matmul(g2[b], _im2col(xp[b], kh, kw, s, ho, wo, cols).T, out=terms[b])
             if dxp is None:
-                continue
-            dcols = (w2.T @ g2[b]).reshape(c, kh, kw, ho, wo)
+                return
+            dcols = np.matmul(w2.T, g2[b], out=cols).reshape(c, kh, kw, ho, wo)
             for i in range(kh):
                 for j in range(kw):
                     dxp[b, :, i : i + s * ho : s, j : j + s * wo : s] += dcols[:, i, j]
+
+        _per_sample(backward, n, columns)
+        dw = np.zeros(w2.shape, dtype=out.dtype)
+        for term in terms:
+            dw += term
         dw = dw.reshape(w.data.shape)
         if dxp is None:
             return (None, dw)
@@ -543,31 +631,46 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
 
     Trailing rows and columns that fill no whole block are dropped (and get
     zero gradient); each block's gradient goes to its first maximum in
-    row-major order.
+    row-major order.  Forward and vjp run one sample at a time, with the
+    samples split over the CPUs.
     """
     if x.data.ndim != 4:
         raise ShapeError("maxpool2d expects (N,C,H,W)")
     k = int(window)
     xd = x.data
-    h, w = xd.shape[2:]
+    n, _, h, w = xd.shape
     if k > h or k > w:
         raise ShapeError(f"pool window {k} exceeds input {h}x{w}")
     ho, wo = h // k, w // k
-    taps = [(slice(None), slice(None), slice(i, i + k * ho, k), slice(j, j + k * wo, k))
+    taps = [(slice(None), slice(i, i + k * ho, k), slice(j, j + k * wo, k))
             for i in range(k) for j in range(k)]          # row-major block offsets
-    out = xd[taps[0]].copy()
-    for t in taps[1:]:
-        np.maximum(out, xd[t], out=out)  # keeps the earlier value on ties
+    out = np.empty(xd.shape[:2] + (ho, wo), dtype=xd.dtype)
+
+    def forward(b, _):
+        xb, ob = xd[b], out[b]
+        np.copyto(ob, xb[taps[0]])
+        for t in taps[1:]:
+            np.maximum(ob, xb[t], out=ob)  # keeps the earlier value on ties
+
+    _per_sample(forward, n)
 
     def vjp(g):
         dx = np.zeros_like(xd)
-        hit = np.empty(out.shape, dtype=bool)
-        open_ = np.ones(out.shape, dtype=bool)            # blocks not yet routed
-        for t in taps:
-            np.equal(xd[t], out, out=hit)
-            hit &= open_
-            open_ ^= hit
-            np.copyto(dx[t], g, where=hit)
+
+        def masks():
+            return np.empty((2,) + out.shape[1:], dtype=bool)
+
+        def backward(b, mask):
+            hit, open_ = mask                              # open_: blocks not yet routed
+            open_.fill(True)
+            xb, ob, gb, db = xd[b], out[b], g[b], dx[b]
+            for t in taps:
+                np.equal(xb[t], ob, out=hit)
+                hit &= open_
+                open_ ^= hit
+                np.copyto(db[t], gb, where=hit)
+
+        _per_sample(backward, n, masks)
         return (dx,)
 
     return _node(out, (x,), vjp, "maxpool2d")
@@ -749,7 +852,11 @@ class Adam:
 
     ``step()`` raises :class:`MissingGradientError` if any registered
     parameter has no gradient, applies the update in place, and clears
-    all gradients.
+    all gradients.  A parameter is updated in blocks of about
+    ``ADAM_BLOCK`` elements along its first axis, split over the CPUs; a
+    parameter of one block or less is updated on the calling thread.  The
+    update is elementwise, so the result is bit for bit the formula's
+    whatever the blocks, the CPU count or the parameter's memory layout.
     """
 
     beta1 = 0.9    # first-moment decay
@@ -772,22 +879,34 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        # update = (m / c1) / (sqrt(v / c2) + eps), written in place through one
-        # scratch array per parameter; each operation is the one the formula
-        # implies, in its order, so the result is bit for bit the formula's
         for p, m, v, u in zip(self.params, self._m, self._v, self._scratch):
-            g = p.grad
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=u)
-            m += u
-            v *= b2
-            np.multiply(g, g, out=u)
-            u *= 1.0 - b2
-            v += u
-            np.divide(v, c2, out=u)
-            np.sqrt(u, out=u)
-            u += self.eps
-            np.divide(m / c1, u, out=u)
-            u *= self.lr
-            p.data -= u
+            # blocks of whole rows: slicing the first axis gives views of
+            # each array whatever its memory layout
+            w, g, m, v, u = (np.atleast_1d(a) for a in (p.data, p.grad, m, v, u))
+            rows = max(1, ADAM_BLOCK * w.shape[0] // max(w.size, 1))
+
+            def update(i, q):
+                # update = (m / c1) / (sqrt(v / c2) + eps), written in place
+                # through u and the block-sized temporary q; each operation is
+                # the one the formula implies, in its order
+                sl = slice(i * rows, (i + 1) * rows)
+                wb, gb, mb, vb, ub = w[sl], g[sl], m[sl], v[sl], u[sl]
+                qb = q[: len(wb)]
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=ub)
+                mb += ub
+                vb *= b2
+                np.multiply(gb, gb, out=ub)
+                ub *= 1.0 - b2
+                vb += ub
+                np.divide(vb, c2, out=ub)
+                np.sqrt(ub, out=ub)
+                ub += self.eps
+                np.divide(mb, c1, out=qb)
+                np.divide(qb, ub, out=ub)
+                ub *= self.lr
+                wb -= ub
+
+            _per_sample(update, math.ceil(w.shape[0] / rows),
+                        lambda: np.empty((min(rows, w.shape[0]),) + w.shape[1:], m.dtype))
             p.grad = None

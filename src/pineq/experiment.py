@@ -198,7 +198,12 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
                    architectures: Optional[Mapping[str, object]] = None,
                    store: Optional[FeatureStore] = None,
                    extra_header: Sequence[str] = ()) -> ExperimentResult:
-    """Execute every grid cell and assemble deterministic report rows."""
+    """Execute every grid cell and assemble deterministic report rows.
+
+    The report's header is ``extra_header`` (the caller's statement of the
+    settings; ``pineq experiment`` echoes its effective options) followed
+    by the corpus's record count and media per record.
+    """
     architectures = dict(architectures or {})
     # each cell is drawn once, before any trains, so a bad draw fails first
     jobs = [(cell, draw_cell(corpus, cell), architectures.get(cell[0]))
@@ -232,19 +237,9 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
                 matrices.append((f"{m}/{st}/S={s}", merged))
 
     header = tuple(extra_header) + (
-        f"corpus: {corpus.root}",
         f"records: {len(corpus.records)}",
         f"media per record: {corpus.soundtracks_per_record} soundtracks, "
         f"{corpus.photos_per_record} photos",
-        f"models: {' '.join(spec.models)}",
-        f"strategies: {' '.join(spec.strategies)}",
-        f"samples-per-record: {' '.join(map(str, spec.samples_per_record))}",
-        f"seeds: {' '.join(map(str, spec.seeds))}",
-        f"epochs: {spec.epochs}",
-        f"batch: {spec.batch}",
-        f"lr: {spec.lr}",
-        f"smoothing: {spec.smoothing}",
-        f"pretrain-steps: {spec.pretrain_steps}",
     )
     return ExperimentResult(spec, header, tuple(outcomes), rows, aggregates,
                             matrices)

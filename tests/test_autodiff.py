@@ -7,7 +7,12 @@ float64.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,7 @@ from pineq.autodiff import (
     softmax,
     take,
 )
+from pineq.nn import Module
 
 RNG = np.random.default_rng(1234)
 
@@ -208,6 +214,108 @@ def test_conv2d_runs_one_sample_at_a_time(stride, padding):
     padded = n * c * (h + 2 * padding) * (wd + 2 * padding) * 4
     sample_cols = c * k * k * ho * wo * 4
     assert peak < 2 * padded + y.nbytes + 4 * sample_cols
+
+
+# ---------------------------------------------------------------------------
+# work split over CPUs: the same bits on one worker and on several
+# ---------------------------------------------------------------------------
+
+# shares beyond this machine's CPUs still run, on the pool's threads
+SHARES = [2, 3]
+
+
+def _with_workers(monkeypatch, workers, fn):
+    """``fn()`` on ``workers`` shares, each on its own thread, switching
+    between threads as often as the interpreter allows."""
+    monkeypatch.setattr(ad, "_workers", workers)
+    monkeypatch.setattr(ad, "_pool", None)  # a pool of workers - 1 threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _assert_same_bits(serial, split):
+    assert len(serial) == len(split)
+    for a, b in zip(serial, split):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shares", SHARES)
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("input_grad", [True, False], ids=["dx", "no-dx"])
+def test_conv2d_has_the_same_bits_on_one_worker_and_several(monkeypatch, shares, n,
+                                                            stride, input_grad):
+    rng = np.random.default_rng(31)
+    x, w = _f32(rng, n, 3, 13, 11), _f32(rng, 4, 3, 3, 3)
+    g = _f32(rng, n, 4, 12 // stride + 1, 10 // stride + 1)
+
+    def run(b=slice(None)):
+        y = conv2d(Tensor(x[b], requires_grad=input_grad), Tensor(w, requires_grad=True),
+                   stride, 1)
+        return (y.data,) + y._vjp(g[b])
+
+    serial = _with_workers(monkeypatch, 1, run)
+    assert (serial[1] is None) == (not input_grad)
+    _assert_same_bits(serial, _with_workers(monkeypatch, shares, run))
+    # the kernel gradient is the running sum, in sample order, of each
+    # sample's own gradient
+    dw = np.zeros_like(w)
+    for b in range(n):
+        dw += run(slice(b, b + 1))[2]
+    assert np.array_equal(serial[2], dw)
+
+
+@pytest.mark.parametrize("shares", SHARES)
+@pytest.mark.parametrize("window", [2, 3])
+def test_maxpool2d_has_the_same_bits_on_one_worker_and_several(monkeypatch, shares,
+                                                               window):
+    rng = np.random.default_rng(33)
+    # few distinct values tie most blocks; neither 11 nor 8 is a multiple of
+    # 3, and 11 is odd, so trailing rows and columns are dropped
+    x = rng.integers(0, 3, size=(5, 2, 11, 8)).astype(np.float32)
+
+    def run():
+        y = maxpool2d(Tensor(x, requires_grad=True), window)
+        g = np.random.default_rng(34).normal(size=y.shape).astype(np.float32)
+        return y.data, y._vjp(g)[0]
+
+    _assert_same_bits(_with_workers(monkeypatch, 1, run),
+                      _with_workers(monkeypatch, shares, run))
+
+
+def test_every_share_keeps_the_callers_numpy_error_state(monkeypatch):
+    x = np.ones((4, 1, 4, 4), dtype=np.float32)
+    x[-1] = 1e30                       # only the last share's sample overflows
+    w = Tensor(np.full((1, 1, 3, 3), 1e30, dtype=np.float32))
+
+    def run():
+        return conv2d(Tensor(x), w)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            _with_workers(monkeypatch, 2, run)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _with_workers(monkeypatch, 2, run)
+
+
+def test_import_and_a_one_sample_op_start_no_thread():
+    code = ("import threading\n"
+            "n = threading.active_count()\n"
+            "import numpy as np, pineq, pineq.cli, pineq.autodiff as ad\n"
+            "assert threading.active_count() == n, threading.enumerate()\n"
+            "ad.conv2d(ad.Tensor(np.ones((1, 1, 4, 4))), ad.Tensor(np.ones((1, 1, 3, 3))))\n"
+            "assert threading.active_count() == n and ad._pool is None\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ad.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_conv2d_kernel_larger_than_input_raises():
@@ -695,6 +803,69 @@ def test_adam_float32_steps_run_in_place_and_match_the_formula():
         want -= lr * ((m / c1) / (np.sqrt(v / c2) + eps))
         assert w.data is data and w.data.dtype == np.float32
         np.testing.assert_array_equal(w.data, want)
+
+
+def _adam_formula(w, grads, lr):
+    """``w`` after one Adam step per gradient, written as the formula."""
+    w, m, v = w.copy(), np.zeros_like(w), np.zeros_like(w)
+    b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        w -= lr * ((m / c1) / (np.sqrt(v / c2) + eps))
+    return w
+
+
+@pytest.mark.parametrize("shares", SHARES)
+@pytest.mark.parametrize("shapes", [[(10, ad.ADAM_BLOCK // 4)], [(), (3,), (4, 5), (2, 3, 3)]],
+                         ids=["two-and-a-half-blocks", "small"])
+def test_adam_has_the_same_bits_on_one_worker_and_several(monkeypatch, shares, shapes):
+    rng = np.random.default_rng(35)
+    starts = [_f32(rng, *shape) for shape in shapes]
+    grads = [[_f32(rng, *shape) for shape in shapes] for _ in range(3)]
+
+    def run():
+        params = [Tensor(w.copy(), requires_grad=True) for w in starts]
+        opt = Adam(params, lr=1e-2)
+        for step in grads:
+            for p, g in zip(params, step):
+                p.grad = g
+            opt.step()
+        return [p.data for p in params]
+
+    serial = _with_workers(monkeypatch, 1, run)
+    _assert_same_bits(serial, _with_workers(monkeypatch, shares, run))
+    for i, w in enumerate(starts):
+        assert np.array_equal(serial[i], _adam_formula(w, [g[i] for g in grads], 1e-2))
+
+
+class _OneWeight(Module):
+    def __init__(self, shape):
+        self.w = Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+
+
+@pytest.mark.parametrize("workers", [1] + SHARES)
+def test_adam_updates_a_fortran_ordered_parameter_from_a_state(monkeypatch, workers):
+    # about three blocks; reshape(-1) of a Fortran-ordered array is a copy,
+    # so an update through flat views of it would be lost
+    rng = np.random.default_rng(36)
+    shape = (384, ad.ADAM_BLOCK // 128 + 5)
+    w0 = np.asfortranarray(_f32(rng, *shape))
+    grads = [_f32(rng, *shape) for _ in range(3)]
+
+    def run():
+        model = _OneWeight(shape)
+        opt = Adam(model.parameters(), lr=1e-2)
+        model.load_state_dict({"w": w0})
+        assert not model.w.data.flags.c_contiguous
+        for g in grads:
+            model.w.grad = g
+            opt.step()
+        return model.w.data
+
+    want = _adam_formula(np.ascontiguousarray(w0), grads, 1e-2)
+    assert np.array_equal(_with_workers(monkeypatch, workers, run), want)
 
 
 def test_adam_quadratic_converges_100x():

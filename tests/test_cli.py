@@ -145,6 +145,10 @@ def test_train_is_one_experiment_cell(corpus_dir, trained_dir, tmp_path, capsys)
     assert "# model: cnn-audio" in echoed
     grid_report = (out / "report.txt").read_text().splitlines()
     assert grid_report[:len(echoed)] == echoed  # same settings, same order
+    # each setting is stated once; the grid adds only the corpus facts
+    grid_header = [l for l in grid_report if l.startswith("# ")]
+    assert [l.split(":")[0] for l in grid_header[len(echoed):]] == \
+        ["# records", "# media per record"]
 
 
 def test_corrupt_wav_is_data_error_naming_the_file(corpus_dir, tmp_path, capsys):

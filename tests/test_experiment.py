@@ -1,10 +1,16 @@
 """Experiment-matrix orchestration tests on a tiny synthetic corpus."""
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pineq import autodiff
 from pineq.corpus import (CorpusError, InfeasibleSampleError, SyntheticConfig,
                           generate_synthetic)
 from pineq.models import CrossModalConfig
@@ -174,13 +180,16 @@ def test_one_grid_runs_both_cnn_baselines_as_single_model_runs(corpus, store):
 
 
 def test_report_header_echoes_effective_config(corpus, store):
+    # the caller states the settings once; the run adds only the corpus facts
     spec = cnn_spec(epochs=2, lr=0.005)
+    settings = ("model: cnn-audio", "epochs: 2", "lr: 0.005")
     result = run_experiment(spec, corpus, architectures=CNN_ARCH,
-                            store=store)
+                            store=store, extra_header=settings)
     text = result.report_text()
-    for needle in ("records: 8", "epochs: 2", "lr: 0.005", "models: cnn-audio",
-                   "strategies: random", "samples-per-record: 2", "seeds: 0"):
-        assert f"# {needle}" in text, needle
+    header = [l for l in text.splitlines() if l.startswith("# ")]
+    assert header == [f"# {l}" for l in settings] + [
+        "# records: 8", f"# media per record: {corpus.soundtracks_per_record} "
+        f"soundtracks, {corpus.photos_per_record} photos"]
     assert "Mean over seeds" in text
 
 
@@ -211,6 +220,62 @@ def test_parallel_workers_match_serial(corpus, store, monkeypatch):
     parallel = run_experiment(spec, corpus, architectures=CNN_ARCH)
     assert parallel.report_text() == serial.report_text()
     assert parallel.csv_text() == serial.csv_text()
+
+
+# Run in a child process, so that a forked worker waiting on its parent's
+# threads fails on the timeout rather than hanging the suite.
+_FORK_AFTER_OP_THREADS = """
+import os, sys
+import numpy as np
+from pineq import autodiff, experiment
+from pineq.corpus import load_corpus
+from pineq.experiment import ExperimentSpec, run_experiment, write_outputs
+
+manifest, out = sys.argv[1:]
+autodiff._workers = 2  # the split path, whatever this machine's CPUs
+autodiff.conv2d(autodiff.Tensor(np.ones((4, 1, 6, 6), np.float32)),
+                autodiff.Tensor(np.ones((2, 1, 3, 3), np.float32)))
+assert autodiff._pool is not None  # the op threads are running
+train = experiment.train
+
+def spy(*args, **kwargs):  # a file, so that forked workers report too
+    with open(os.path.join(out, "seen"), "a") as f:
+        f.write(f"{os.getpid()} {autodiff._workers} {autodiff._pool is None}\\n")
+    return train(*args, **kwargs)
+
+experiment.train = spy
+spec = ExperimentSpec(models=("ensemble",), strategies=("random",),
+                      samples_per_record=(2,), seeds=(0, 1), epochs=1, batch=8)
+for name, threads in (("serial", "1"), ("forked", "2")):
+    os.environ["PQC_THREADS"] = threads
+    result = run_experiment(spec, load_corpus(manifest),
+                            architectures={"ensemble": {"embed_dim": 8, "head_hidden": 6}})
+    write_outputs(result, os.path.join(out, name))
+print(os.getpid())
+"""
+
+
+def test_forked_workers_after_the_op_threads_started_match_serial(corpus, tmp_path):
+    # a forked worker must run its ops on its own thread: the parent's op
+    # threads do not exist in the child
+    env = dict(os.environ, PYTHONPATH=str(Path(autodiff.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", _FORK_AFTER_OP_THREADS,
+                             str(corpus.root / "manifest.txt"), str(tmp_path)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=600)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the forked workers too
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, stderr
+    assert (tmp_path / "forked" / "results.csv").read_bytes() == \
+        (tmp_path / "serial" / "results.csv").read_bytes()
+    cells = [line.split() for line in (tmp_path / "seen").read_text().splitlines()]
+    parent = stdout.strip()
+    assert [c[1:] for c in cells if c[0] == parent] == [["2", "False"]] * 2
+    assert [c[1:] for c in cells if c[0] != parent] == [["1", "True"]] * 2
 
 
 def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatch):
