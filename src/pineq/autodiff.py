@@ -33,14 +33,16 @@ Design notes
   differences in float64 and refuses points where a rectifier input is
   exactly zero (the derivative is undefined there, so the check would
   be meaningless).
-* :func:`conv2d` and :func:`maxpool2d` (forward and vjp) and large
-  :class:`Adam` updates split their samples or blocks over the CPUs in
-  the process's affinity (at most two), through one thread pool that the
-  first split starts.  Each sample or block is computed as on one CPU, into its own
-  slice, and the kernel gradient's per-sample terms are summed in sample
+* :func:`attention`, :func:`conv2d` and :func:`maxpool2d` (forward and
+  vjp) and large :class:`Adam` updates split their (batch*head) slices,
+  samples or blocks over the CPUs in the process's affinity (at most
+  two), through one thread pool that the first split starts.  Each slice,
+  sample or block is computed as on one CPU, into its own part of the
+  result, and the kernel gradient's per-sample terms are summed in sample
   order, so results are bit for bit the one-CPU results.  The calling
-  thread allocates every worker's scratch, and a forked child runs each
-  op on its own thread only.
+  thread allocates every worker's scratch.  The pool's idle threads are
+  joined before a fork, so a process forks with one thread, and a forked
+  child runs each op on its own thread only.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ __all__ = [
 ]
 
 _LOG2E = math.log2(math.e)
-# Queries per block in attention: one block's (B, 128, N) scores is the
-# largest array attention holds, forward or backward.
+# Queries per block in attention: one (128, M) score block per share (and,
+# in the vjp, one score-gradient block of that size) is the largest array
+# attention holds beyond its operand-sized ones, forward or backward.
 ATTENTION_CHUNK = 128
 # Elements per block of an Adam update: a block's operands stay in cache,
 # and a parameter of more blocks than one spreads them over the CPUs.
@@ -100,15 +103,24 @@ _workers = min(_cpu_count(), 2)
 _pool: ThreadPoolExecutor | None = None  # started by the first split over two CPUs
 
 
+def _join_pool() -> None:
+    # fork from one thread: the pool's threads are idle between ops, so join
+    # them; the next split starts the pool again
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
 def _forked() -> None:
-    # the parent's threads do not exist in a forked child, and its own
-    # siblings (forked experiment workers) already use the other CPUs
-    global _pool, _workers
-    _pool, _workers = None, 1
+    # a forked child's siblings (forked experiment workers) already use the
+    # other CPUs
+    global _workers
+    _workers = 1
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forked)
+    os.register_at_fork(before=_join_pool, after_in_child=_forked)
 
 
 def _per_sample(fn: Callable[[int, object], None], n: int,
@@ -494,12 +506,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """``softmax(q k^T / sqrt(d)) v`` over (B, N, d) queries and (B, M, d)
     keys with (B, M, e) values.
 
-    Each block of ``ATTENTION_CHUNK`` queries is scored, exponentiated and
-    multiplied with the values, and divided by its row sums after that
+    Forward and vjp run one (batch*head) slice at a time, with the slices
+    split over the CPUs.  Each block of a slice's ``ATTENTION_CHUNK``
+    queries is scored into one cache-sized (128, M) block, exponentiated
+    and multiplied with the values, and divided by its row sums after that
     product.  Only the output and each row's log-sum-exp are kept; the vjp
     recomputes each block's probabilities from the log-sum-exp and uses
     ``rowsum(dO * O)`` for the softmax's shift term (Rabe & Staats 2021;
-    Dao et al. 2022).
+    Dao et al. 2022).  Each slice writes only its own rows of every
+    result, so the bits are the same on any number of CPUs.
     """
     if q.data.ndim != 3 or k.data.ndim != 3 or v.data.ndim != 3:
         raise ShapeError("attention expects rank-3 (B, N, d) operands")
@@ -513,39 +528,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     # base-2 logits: exp2(qs k^T) == exp(q k^T / sqrt(d)), and exp2 is the
     # faster SIMD path; scaling q costs N*d products rather than N*M
     qs = qd * (scale * _LOG2E)
-    kt = kd.swapaxes(1, 2)
     out = np.empty((b, n, vd.shape[2]), dtype=np.result_type(qs, kd, vd))
     lse = np.empty((b, n, 1), dtype=out.dtype)  # base-2 log-sum-exp per row
-    for start in range(0, n, ATTENTION_CHUNK):
-        rows = slice(start, start + ATTENTION_CHUNK)
-        p = np.matmul(qs[:, rows], kt)
-        top = p.max(axis=-1, keepdims=True)
-        p -= top
-        np.exp2(p, out=p)
-        total = p.sum(axis=-1, keepdims=True)
-        np.matmul(p, vd, out=out[:, rows])
-        out[:, rows] /= total
-        lse[:, rows] = top + np.log2(total)
+    chunks = [slice(start, min(start + ATTENTION_CHUNK, n))
+              for start in range(0, n, ATTENTION_CHUNK)]
+
+    def block():
+        return np.empty((min(n, ATTENTION_CHUNK), kd.shape[1]), dtype=out.dtype)
+
+    def forward(i, p):
+        qi, kt, vi, oi, li = qs[i], kd[i].T, vd[i], out[i], lse[i]
+        for rows in chunks:
+            s = np.matmul(qi[rows], kt, out=p[: rows.stop - rows.start])
+            top = s.max(axis=-1, keepdims=True)
+            s -= top
+            np.exp2(s, out=s)
+            total = s.sum(axis=-1, keepdims=True)
+            np.matmul(s, vi, out=oi[rows])
+            oi[rows] /= total
+            li[rows] = top + np.log2(total)
+
+    _per_sample(forward, b, block)
 
     def vjp(g):
-        dsum = (g * out).sum(axis=-1, keepdims=True)
         dq = np.empty_like(qs)
         dk = np.zeros_like(kd)
         dv = np.zeros_like(vd)
-        vt = vd.swapaxes(1, 2)
-        for start in range(0, n, ATTENTION_CHUNK):
-            rows = slice(start, start + ATTENTION_CHUNK)
-            p = np.matmul(qs[:, rows], kt)
-            p -= lse[:, rows]
-            np.exp2(p, out=p)
-            dv += np.matmul(p.swapaxes(1, 2), g[:, rows])
-            ds = np.matmul(g[:, rows], vt)  # dP, then the score gradient in place
-            ds -= dsum[:, rows]
-            ds *= p
-            np.matmul(ds, kd, out=dq[:, rows])
-            dk += np.matmul(ds.swapaxes(1, 2), qs[:, rows])
-        dq *= scale
-        dk *= 1.0 / _LOG2E  # qs carries scale * log2(e); the key gradient wants scale
+
+        def backward(i, blocks):
+            p, ds = blocks
+            qi, ki, kt, vt, gi, li = qs[i], kd[i], kd[i].T, vd[i].T, g[i], lse[i]
+            dsum = (gi * out[i]).sum(axis=-1, keepdims=True)
+            for rows in chunks:
+                s = np.matmul(qi[rows], kt, out=p[: rows.stop - rows.start])
+                s -= li[rows]
+                np.exp2(s, out=s)
+                dv[i] += np.matmul(s.T, gi[rows])
+                # dP, then the score gradient in place
+                dsi = np.matmul(gi[rows], vt, out=ds[: rows.stop - rows.start])
+                dsi -= dsum[rows]
+                dsi *= s
+                np.matmul(dsi, ki, out=dq[i, rows])
+                dk[i] += np.matmul(dsi.T, qi[rows])
+            dq[i] *= scale
+            dk[i] *= 1.0 / _LOG2E  # qs carries scale * log2(e); the key gradient wants scale
+
+        _per_sample(backward, b, lambda: (block(), block()))
         return (dq, dk, dv)
 
     return _node(out, (q, k, v), vjp, "attention")

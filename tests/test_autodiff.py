@@ -289,6 +289,38 @@ def test_maxpool2d_has_the_same_bits_on_one_worker_and_several(monkeypatch, shar
                       _with_workers(monkeypatch, shares, run))
 
 
+# (slices, queries, keys, query/key width, value width), dtype; two slices
+# leave a third share without one, and 130, 300 and 129 queries end in a
+# partial block of ATTENTION_CHUNK
+ATTENTION_CASES = {
+    "one-slice": ((1, 200, 200, 8, 8), np.float32),
+    "two-slices": ((2, 130, 130, 8, 8), np.float32),
+    "odd-slices": ((5, 130, 130, 8, 8), np.float32),
+    "keys-differ": ((3, 300, 77, 16, 12), np.float32),
+    "float64": ((4, 129, 140, 8, 6), np.float64),
+}
+
+
+@pytest.mark.parametrize("shares", SHARES)
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_attention_has_the_same_bits_on_one_worker_and_several(monkeypatch, shares, case):
+    (b, n, m, d, e), dtype = ATTENTION_CASES[case]
+    rng = np.random.default_rng(37)
+    q, k, v, g = (rng.normal(size=shape).astype(dtype)
+                  for shape in ((b, n, d), (b, m, d), (b, m, e), (b, n, e)))
+
+    def run(i=slice(None)):
+        y = attention(*(Tensor(a[i], requires_grad=True) for a in (q, k, v)))
+        return (y.data,) + y._vjp(g[i])
+
+    serial = _with_workers(monkeypatch, 1, run)
+    assert all(a.dtype == dtype for a in serial)
+    _assert_same_bits(serial, _with_workers(monkeypatch, shares, run))
+    # each slice is computed as a one-slice call computes it
+    for i in range(b):
+        _assert_same_bits([a[i : i + 1] for a in serial], run(slice(i, i + 1)))
+
+
 def test_every_share_keeps_the_callers_numpy_error_state(monkeypatch):
     x = np.ones((4, 1, 4, 4), dtype=np.float32)
     x[-1] = 1e30                       # only the last share's sample overflows
@@ -310,7 +342,10 @@ def test_import_and_a_one_sample_op_start_no_thread():
             "n = threading.active_count()\n"
             "import numpy as np, pineq, pineq.cli, pineq.autodiff as ad\n"
             "assert threading.active_count() == n, threading.enumerate()\n"
+            "ad._workers = 2  # the split path, whatever this machine's CPUs\n"
             "ad.conv2d(ad.Tensor(np.ones((1, 1, 4, 4))), ad.Tensor(np.ones((1, 1, 3, 3))))\n"
+            "x = ad.Tensor(np.ones((1, 300, 8)), requires_grad=True)\n"
+            "ad.attention(x, x, x).sum().backward()\n"
             "assert threading.active_count() == n and ad._pool is None\n")
     env = dict(os.environ, PYTHONPATH=str(Path(ad.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -489,18 +524,27 @@ def test_fused_op_matches_its_composite_in_float32(name):
         assert rel < 1e-6, f"{name}: relative difference {rel:.2e}"
 
 
-def test_attention_never_holds_a_full_score_array():
+def test_attention_never_holds_a_full_score_array(monkeypatch):
     rng = np.random.default_rng(42)
     b, n, d = 32, 708, 32
-    q, k, v = (Tensor(_f32(rng, b, n, d), requires_grad=True) for _ in range(3))
+    arrays = [_f32(rng, b, n, d) for _ in range(3)]
+    # operand-sized arrays: the scaled queries, the output, its gradient, the
+    # three input gradients and one more for the row statistics and small
+    # temporaries; plus each share's score and score-gradient blocks
+    operand = b * n * d * 4
+    block = ad.ATTENTION_CHUNK * n * 4
+    for shares in (1, 2):
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
 
-    def forward_and_backward():
-        attention(q, k, v).sum().backward()
+        def forward_and_backward():
+            attention(q, k, v).sum().backward()
 
-    _, peak = _traced_peak(forward_and_backward)
-    scores_bytes = b * n * n * np.dtype(np.float32).itemsize
-    assert peak < scores_bytes, f"peak {peak / 1e6:.1f} MB >= {scores_bytes / 1e6:.1f} MB"
-    assert all(t.grad is not None and t.grad.shape == (b, n, d) for t in (q, k, v))
+        _, peak = _with_workers(monkeypatch, shares,
+                                lambda: _traced_peak(forward_and_backward))
+        bound = 7 * operand + 2 * shares * block
+        assert 6 * operand + b * block > bound  # one block of every slice's scores fails it
+        assert peak < bound, f"{shares} shares: peak {peak / 1e6:.1f} MB >= {bound / 1e6:.1f} MB"
+        assert all(t.grad is not None and t.grad.shape == (b, n, d) for t in (q, k, v))
 
 
 # ---------------------------------------------------------------------------

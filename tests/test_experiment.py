@@ -225,7 +225,11 @@ def test_parallel_workers_match_serial(corpus, store, monkeypatch):
 # Run in a child process, so that a forked worker waiting on its parent's
 # threads fails on the timeout rather than hanging the suite.
 _FORK_AFTER_OP_THREADS = """
-import os, sys
+import os, sys, threading
+threads_at_fork = []
+# registered before pineq's own hook, so it runs after that one: Python runs
+# before-fork hooks in the reverse order of registration
+os.register_at_fork(before=lambda: threads_at_fork.append(threading.active_count()))
 import numpy as np
 from pineq import autodiff, experiment
 from pineq.corpus import load_corpus
@@ -233,8 +237,8 @@ from pineq.experiment import ExperimentSpec, run_experiment, write_outputs
 
 manifest, out = sys.argv[1:]
 autodiff._workers = 2  # the split path, whatever this machine's CPUs
-autodiff.conv2d(autodiff.Tensor(np.ones((4, 1, 6, 6), np.float32)),
-                autodiff.Tensor(np.ones((2, 1, 3, 3), np.float32)))
+x = autodiff.Tensor(np.ones((4, 5, 3), np.float32))
+autodiff.attention(x, x, x)
 assert autodiff._pool is not None  # the op threads are running
 train = experiment.train
 
@@ -251,15 +255,18 @@ for name, threads in (("serial", "1"), ("forked", "2")):
     result = run_experiment(spec, load_corpus(manifest),
                             architectures={"ensemble": {"embed_dim": 8, "head_hidden": 6}})
     write_outputs(result, os.path.join(out, name))
-print(os.getpid())
+print(os.getpid(), *threads_at_fork)
 """
 
 
 def test_forked_workers_after_the_op_threads_started_match_serial(corpus, tmp_path):
-    # a forked worker must run its ops on its own thread: the parent's op
-    # threads do not exist in the child
+    # the parent forks with its op threads joined, and a forked worker runs
+    # its ops on its own thread
     env = dict(os.environ, PYTHONPATH=str(Path(autodiff.__file__).resolve().parents[1]))
-    proc = subprocess.Popen([sys.executable, "-c", _FORK_AFTER_OP_THREADS,
+    # Python 3.12 and later warn when a process with threads forks; the
+    # warning is shown here, not raised, because os.fork clears the error
+    proc = subprocess.Popen([sys.executable, "-W", "always::DeprecationWarning",
+                             "-c", _FORK_AFTER_OP_THREADS,
                              str(corpus.root / "manifest.txt"), str(tmp_path)],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, start_new_session=True)
@@ -270,10 +277,12 @@ def test_forked_workers_after_the_op_threads_started_match_serial(corpus, tmp_pa
         proc.communicate()
         raise
     assert proc.returncode == 0, stderr
+    assert "multi-threaded" not in stderr, stderr
     assert (tmp_path / "forked" / "results.csv").read_bytes() == \
         (tmp_path / "serial" / "results.csv").read_bytes()
+    parent, *threads_at_fork = stdout.split()
+    assert threads_at_fork == ["1", "1"]  # each of the two workers forked from one thread
     cells = [line.split() for line in (tmp_path / "seen").read_text().splitlines()]
-    parent = stdout.strip()
     assert [c[1:] for c in cells if c[0] == parent] == [["2", "False"]] * 2
     assert [c[1:] for c in cells if c[0] != parent] == [["1", "True"]] * 2
 
