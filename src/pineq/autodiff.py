@@ -36,20 +36,20 @@ Design notes
 * :func:`attention`, :func:`conv2d` and :func:`maxpool2d` (forward and
   vjp) and large :class:`Adam` updates split their (batch*head) slices,
   samples or blocks over the CPUs in the process's affinity (at most
-  two), through one thread pool that the first split starts.  Each slice,
-  sample or block is computed as on one CPU, into its own part of the
-  result, and the kernel gradient's per-sample terms are summed in sample
-  order, so results are bit for bit the one-CPU results.  The calling
-  thread allocates every worker's scratch.  The pool's idle threads are
-  joined before a fork, so a process forks with one thread, and a forked
-  child runs each op on its own thread only.
+  two), on threads that the op starts and joins before it returns, so no
+  op thread is alive when the process forks.  Each slice, sample or block
+  is computed as on one CPU, into its own part of the result, and the
+  kernel gradient's per-sample terms are summed in sample order, so
+  results are bit for bit the one-CPU results.  The calling thread
+  allocates every share's scratch.  A forked child runs each op on its
+  own thread only.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -100,16 +100,6 @@ def _cpu_count() -> int:
 # block and a conv holds no more than a few sample blocks at once.  A forked
 # child uses one.
 _workers = min(_cpu_count(), 2)
-_pool: ThreadPoolExecutor | None = None  # started by the first split over two CPUs
-
-
-def _join_pool() -> None:
-    # fork from one thread: the pool's threads are idle between ops, so join
-    # them; the next split starts the pool again
-    global _pool
-    if _pool is not None:
-        _pool.shutdown()
-        _pool = None
 
 
 def _forked() -> None:
@@ -120,7 +110,7 @@ def _forked() -> None:
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_join_pool, after_in_child=_forked)
+    os.register_at_fork(after_in_child=_forked)
 
 
 def _per_sample(fn: Callable[[int, object], None], n: int,
@@ -128,13 +118,13 @@ def _per_sample(fn: Callable[[int, object], None], n: int,
     """Call ``fn(i, buf)`` for every ``i`` in ``range(n)``.
 
     The indices are cut into one contiguous share per worker (at most
-    ``n``); the calling thread runs the first share and pool threads the
-    rest.  ``scratch()`` makes one share's reusable buffer, always on the
-    calling thread, so no worker thread allocates a large array.  With one
-    share everything runs inline.  ``fn`` must write only its own index's
-    slice of any shared output.
+    ``n``); the calling thread runs the first share and threads started
+    for this call run the rest, and are joined before it returns.
+    ``scratch()`` makes one share's reusable buffer, always on the calling
+    thread, so no worker thread allocates a large array.  With one share
+    everything runs inline.  ``fn`` must write only its own index's slice
+    of any shared output.
     """
-    global _pool
     k = max(1, min(_workers, n))
     bufs = [scratch() for _ in range(k)]
     cuts = [n * j // k for j in range(k + 1)]
@@ -145,13 +135,11 @@ def _per_sample(fn: Callable[[int, object], None], n: int,
             for i in range(cuts[j], cuts[j + 1]):
                 fn(i, bufs[j])
 
-    if k > 1 and _pool is None:
-        _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="pineq-op")
-    futures = [_pool.submit(share, j) for j in range(1, k)]
-    try:
+    if k == 1:
+        return share(0)
+    with ThreadPoolExecutor(k - 1, thread_name_prefix="pineq-op") as pool:
+        futures = [pool.submit(share, j) for j in range(1, k)]
         share(0)
-    finally:
-        wait(futures)
     for f in futures:
         f.result()
 
@@ -882,9 +870,11 @@ class Adam:
     parameter has no gradient, applies the update in place, and clears
     all gradients.  A parameter is updated in blocks of about
     ``ADAM_BLOCK`` elements along its first axis, split over the CPUs; a
-    parameter of one block or less is updated on the calling thread.  The
-    update is elementwise, so the result is bit for bit the formula's
-    whatever the blocks, the CPU count or the parameter's memory layout.
+    parameter of one block or less is updated on the calling thread.
+    Beyond the two moment arrays, a step holds only two temporaries per
+    share, each a block or half the parameter, whichever is smaller.  The update is elementwise, so the result is
+    bit for bit the formula's whatever the blocks, the CPU count or the
+    parameter's memory layout.
     """
 
     beta1 = 0.9    # first-moment decay
@@ -897,7 +887,6 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
 
     def step(self) -> None:
         for p in self.params:
@@ -907,34 +896,40 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, m, v, u in zip(self.params, self._m, self._v, self._scratch):
+        for p, m, v in zip(self.params, self._m, self._v):
             # blocks of whole rows: slicing the first axis gives views of
             # each array whatever its memory layout
-            w, g, m, v, u = (np.atleast_1d(a) for a in (p.data, p.grad, m, v, u))
+            w, g, m, v = (np.atleast_1d(a) for a in (p.data, p.grad, m, v))
             rows = max(1, ADAM_BLOCK * w.shape[0] // max(w.size, 1))
+            # rows per temporary: a block, but at most half the parameter,
+            # so a step's temporaries never outgrow the parameter
+            part = min(rows, -(-w.shape[0] // 2))
 
-            def update(i, q):
+            def update(i, buf):
                 # update = (m / c1) / (sqrt(v / c2) + eps), written in place
-                # through u and the block-sized temporary q; each operation is
-                # the one the formula implies, in its order
-                sl = slice(i * rows, (i + 1) * rows)
-                wb, gb, mb, vb, ub = w[sl], g[sl], m[sl], v[sl], u[sl]
-                qb = q[: len(wb)]
-                mb *= b1
-                np.multiply(gb, 1.0 - b1, out=ub)
-                mb += ub
-                vb *= b2
-                np.multiply(gb, gb, out=ub)
-                ub *= 1.0 - b2
-                vb += ub
-                np.divide(vb, c2, out=ub)
-                np.sqrt(ub, out=ub)
-                ub += self.eps
-                np.divide(mb, c1, out=qb)
-                np.divide(qb, ub, out=ub)
-                ub *= self.lr
-                wb -= ub
+                # through the share's two temporaries u and q, part rows at a
+                # time; each operation is the one the formula implies, in its
+                # order
+                end = min((i + 1) * rows, w.shape[0])
+                for start in range(i * rows, end, part):
+                    sl = slice(start, min(start + part, end))
+                    wb, gb, mb, vb = w[sl], g[sl], m[sl], v[sl]
+                    ub, qb = (a[: len(wb)] for a in buf)
+                    mb *= b1
+                    np.multiply(gb, 1.0 - b1, out=ub)
+                    mb += ub
+                    vb *= b2
+                    np.multiply(gb, gb, out=ub)
+                    ub *= 1.0 - b2
+                    vb += ub
+                    np.divide(vb, c2, out=ub)
+                    np.sqrt(ub, out=ub)
+                    ub += self.eps
+                    np.divide(mb, c1, out=qb)
+                    np.divide(qb, ub, out=ub)
+                    ub *= self.lr
+                    wb -= ub
 
             _per_sample(update, math.ceil(w.shape[0] / rows),
-                        lambda: np.empty((min(rows, w.shape[0]),) + w.shape[1:], m.dtype))
+                        lambda: np.empty((2, part) + w.shape[1:], m.dtype))
             p.grad = None

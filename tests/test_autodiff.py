@@ -220,7 +220,7 @@ def test_conv2d_runs_one_sample_at_a_time(stride, padding):
 # work split over CPUs: the same bits on one worker and on several
 # ---------------------------------------------------------------------------
 
-# shares beyond this machine's CPUs still run, on the pool's threads
+# shares beyond this machine's CPUs still run, each on its own thread
 SHARES = [2, 3]
 
 
@@ -228,7 +228,6 @@ def _with_workers(monkeypatch, workers, fn):
     """``fn()`` on ``workers`` shares, each on its own thread, switching
     between threads as often as the interpreter allows."""
     monkeypatch.setattr(ad, "_workers", workers)
-    monkeypatch.setattr(ad, "_pool", None)  # a pool of workers - 1 threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -337,18 +336,54 @@ def test_every_share_keeps_the_callers_numpy_error_state(monkeypatch):
         _with_workers(monkeypatch, 2, run)
 
 
+_NO_THREAD_OUTLIVES_ITS_OP = '''
+import threading
+n = threading.active_count()
+import numpy as np, pineq, pineq.cli, pineq.autodiff as ad
+assert threading.active_count() == n, threading.enumerate()
+ad._workers = 2  # the split path, whatever this machine's CPUs
+started = []  # names of the threads the ops start
+_start = threading.Thread.start
+
+def start(self):
+    started.append(self.name)
+    _start(self)
+
+threading.Thread.start = start
+
+def check(what, ops_start_threads):
+    assert threading.active_count() == n, (what, threading.enumerate())
+    assert bool(started) == ops_start_threads, (what, started)
+    started.clear()
+
+# one sample or one slice: everything runs on the calling thread
+ad.conv2d(ad.Tensor(np.ones((1, 1, 4, 4))), ad.Tensor(np.ones((1, 1, 3, 3))))
+check("one-sample conv2d", False)
+x = ad.Tensor(np.ones((1, 300, 8)), requires_grad=True)
+ad.attention(x, x, x).sum().backward()
+check("one-slice attention", False)
+# split ops start threads and join them before they return
+x = ad.Tensor(np.ones((4, 1, 6, 6)), requires_grad=True)
+y = ad.conv2d(x, ad.Tensor(np.ones((2, 1, 3, 3)), requires_grad=True))
+check("conv2d forward", True)
+y.sum().backward()
+check("conv2d backward", True)
+x = ad.Tensor(np.ones((2, 130, 8)), requires_grad=True)
+y = ad.attention(x, x, x)
+check("attention forward", True)
+y.sum().backward()
+check("attention backward", True)
+w = ad.Tensor(np.ones(ad.ADAM_BLOCK + 1, np.float32), requires_grad=True)
+w.grad = np.ones_like(w.data)
+ad.Adam([w]).step()
+check("Adam.step", True)
+'''
+
+
 def test_import_and_a_one_sample_op_start_no_thread():
-    code = ("import threading\n"
-            "n = threading.active_count()\n"
-            "import numpy as np, pineq, pineq.cli, pineq.autodiff as ad\n"
-            "assert threading.active_count() == n, threading.enumerate()\n"
-            "ad._workers = 2  # the split path, whatever this machine's CPUs\n"
-            "ad.conv2d(ad.Tensor(np.ones((1, 1, 4, 4))), ad.Tensor(np.ones((1, 1, 3, 3))))\n"
-            "x = ad.Tensor(np.ones((1, 300, 8)), requires_grad=True)\n"
-            "ad.attention(x, x, x).sum().backward()\n"
-            "assert threading.active_count() == n and ad._pool is None\n")
+    # and a split op joins every thread it starts before it returns
     env = dict(os.environ, PYTHONPATH=str(Path(ad.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_THREAD_OUTLIVES_ITS_OP], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -731,9 +766,13 @@ def test_linear_input_without_grad_gets_no_gradient():
 @pytest.mark.parametrize("n", [5, ad.ATTENTION_CHUNK, 2 * ad.ATTENTION_CHUNK, 300],
                          ids=["short", "one-chunk", "two-chunks", "ragged"])
 def test_attention_gradient_matches_finite_differences(n):
+    # its own generator: drawn from RNG, the inputs would depend on which
+    # tests ran before this one
+    rng = np.random.default_rng(43)
     b, d = (2, 3) if n < ad.ATTENTION_CHUNK else (1, 2)
-    q, k, v = t64(b, n, d), t64(b, n, d), t64(b, n, d + 1)
-    coeff = Tensor(RNG.normal(size=(b, n, d + 1)))
+    q, k, v = (Tensor(rng.uniform(-2.0, 2.0, (b, n, w)), requires_grad=True)
+               for w in (d, d, d + 1))
+    coeff = Tensor(rng.normal(size=(b, n, d + 1)))
     err = grad_check(lambda qq, kk, vv: (attention(qq, kk, vv) * coeff).sum(), [q, k, v])
     assert err < 1e-5, err
 
@@ -882,6 +921,21 @@ def test_adam_has_the_same_bits_on_one_worker_and_several(monkeypatch, shares, s
     _assert_same_bits(serial, _with_workers(monkeypatch, shares, run))
     for i, w in enumerate(starts):
         assert np.array_equal(serial[i], _adam_formula(w, [g[i] for g in grads], 1e-2))
+
+
+@pytest.mark.parametrize("workers", [1] + SHARES)
+def test_adam_holds_only_its_moments_and_two_blocks_per_share(monkeypatch, workers):
+    shape = (40, ad.ADAM_BLOCK // 4)  # ten blocks
+    w = Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+    w.grad = np.ones(shape, dtype=np.float32)
+    _, peak = _with_workers(monkeypatch, workers, lambda: _traced_peak(lambda: Adam([w]).step()))
+    # the two moment arrays, two block-sized temporaries per share and half
+    # a block of slack for the threads' own objects
+    block = ad.ADAM_BLOCK * 4
+    bound = 2 * w.data.nbytes + 2 * workers * block + block // 2
+    assert 3 * w.data.nbytes > bound  # a weight-sized scratch array fails it
+    assert peak < bound, f"{workers} workers: peak {peak / 1e6:.2f} MB >= {bound / 1e6:.2f} MB"
+    assert w.grad is None and np.all(w.data < 0)
 
 
 class _OneWeight(Module):

@@ -227,8 +227,6 @@ def test_parallel_workers_match_serial(corpus, store, monkeypatch):
 _FORK_AFTER_OP_THREADS = """
 import os, sys, threading
 threads_at_fork = []
-# registered before pineq's own hook, so it runs after that one: Python runs
-# before-fork hooks in the reverse order of registration
 os.register_at_fork(before=lambda: threads_at_fork.append(threading.active_count()))
 import numpy as np
 from pineq import autodiff, experiment
@@ -238,13 +236,13 @@ from pineq.experiment import ExperimentSpec, run_experiment, write_outputs
 manifest, out = sys.argv[1:]
 autodiff._workers = 2  # the split path, whatever this machine's CPUs
 x = autodiff.Tensor(np.ones((4, 5, 3), np.float32))
-autodiff.attention(x, x, x)
-assert autodiff._pool is not None  # the op threads are running
+autodiff.attention(x, x, x)  # four slices over two threads
+assert threading.active_count() == 1, threading.enumerate()
 train = experiment.train
 
 def spy(*args, **kwargs):  # a file, so that forked workers report too
     with open(os.path.join(out, "seen"), "a") as f:
-        f.write(f"{os.getpid()} {autodiff._workers} {autodiff._pool is None}\\n")
+        f.write(f"{os.getpid()} {autodiff._workers} {threading.active_count()}\\n")
     return train(*args, **kwargs)
 
 experiment.train = spy
@@ -260,8 +258,8 @@ print(os.getpid(), *threads_at_fork)
 
 
 def test_forked_workers_after_the_op_threads_started_match_serial(corpus, tmp_path):
-    # the parent forks with its op threads joined, and a forked worker runs
-    # its ops on its own thread
+    # an op joins the threads it starts, so the parent forks from one
+    # thread, and a forked worker runs its ops on its own thread
     env = dict(os.environ, PYTHONPATH=str(Path(autodiff.__file__).resolve().parents[1]))
     # Python 3.12 and later warn when a process with threads forks; the
     # warning is shown here, not raised, because os.fork clears the error
@@ -283,8 +281,8 @@ def test_forked_workers_after_the_op_threads_started_match_serial(corpus, tmp_pa
     parent, *threads_at_fork = stdout.split()
     assert threads_at_fork == ["1", "1"]  # each of the two workers forked from one thread
     cells = [line.split() for line in (tmp_path / "seen").read_text().splitlines()]
-    assert [c[1:] for c in cells if c[0] == parent] == [["2", "False"]] * 2
-    assert [c[1:] for c in cells if c[0] != parent] == [["1", "True"]] * 2
+    assert [c[1:] for c in cells if c[0] == parent] == [["2", "1"]] * 2
+    assert [c[1:] for c in cells if c[0] != parent] == [["1", "1"]] * 2
 
 
 def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatch):
