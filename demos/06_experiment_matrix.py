@@ -5,10 +5,10 @@ strategy, trains from its seed, and scores the fixed held-out pair grid.
 The result bundles per-seed rows, seed-averaged aggregates, merged
 confusion matrices, and per-cell loss traces, all byte-reproducible.
 
-Set PQC_THREADS=<n> to fan cells out over n worker processes. They are
-forked from this one (so the platform needs the fork start method) and share
-its feature store: a store passed warm to run_experiment(store=...) is read,
-not decoded again.
+Set PQC_THREADS=<n> to run up to n cells at once, on threads of this
+process. They share one feature store: a store passed warm to
+run_experiment(store=...) is read, not decoded again, and the store holds
+one array per media file however many cells read it.
 """
 
 import tempfile

@@ -36,19 +36,23 @@ Design notes
 * :func:`attention`, :func:`conv2d` and :func:`maxpool2d` (forward and
   vjp) and large :class:`Adam` updates split their (batch*head) slices,
   samples or blocks over the CPUs in the process's affinity (at most
-  two), on threads that the op starts and joins before it returns, so no
-  op thread is alive when the process forks.  Each slice, sample or block
-  is computed as on one CPU, into its own part of the result, and the
-  kernel gradient's per-sample terms are summed in sample order, so
-  results are bit for bit the one-CPU results.  The calling thread
-  allocates every share's scratch.  A forked child runs each op on its
-  own thread only.
+  two), on threads that the op starts and joins before it returns.  Each
+  slice, sample or block is computed as on one CPU, into its own part of
+  the result, and the kernel gradient's per-sample terms are summed in
+  sample order, so results are bit for bit the one-CPU results.  The
+  calling thread allocates every share's scratch.  Only an op called on
+  the main thread splits; on any other thread (a parallel experiment
+  cell's, say) it runs inline, since the other threads already use the
+  other CPUs.
+* Graph recording is per thread: :func:`no_grad` on one thread leaves
+  another thread's graph alone.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -95,37 +99,27 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Shares an op splits its samples or blocks into: the process's CPUs, but
-# at most two, because each running share of a conv holds its own column
-# block and a conv holds no more than a few sample blocks at once.  A forked
-# child uses one.
+# Shares an op on the main thread splits its samples or blocks into: the
+# process's CPUs, but at most two, because each running share of a conv
+# holds its own column block and a conv holds no more than a few sample
+# blocks at once.
 _workers = min(_cpu_count(), 2)
-
-
-def _forked() -> None:
-    # a forked child's siblings (forked experiment workers) already use the
-    # other CPUs
-    global _workers
-    _workers = 1
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forked)
 
 
 def _per_sample(fn: Callable[[int, object], None], n: int,
                 scratch: Callable[[], object] = lambda: None) -> None:
     """Call ``fn(i, buf)`` for every ``i`` in ``range(n)``.
 
-    The indices are cut into one contiguous share per worker (at most
-    ``n``); the calling thread runs the first share and threads started
-    for this call run the rest, and are joined before it returns.
-    ``scratch()`` makes one share's reusable buffer, always on the calling
-    thread, so no worker thread allocates a large array.  With one share
-    everything runs inline.  ``fn`` must write only its own index's slice
-    of any shared output.
+    On the main thread the indices are cut into one contiguous share per
+    worker (at most ``n``); the calling thread runs the first share and
+    threads started for this call run the rest, and are joined before it
+    returns.  ``scratch()`` makes one share's reusable buffer, always on
+    the calling thread, so no worker thread allocates a large array.  With
+    one share, or on any thread but the main one, everything runs inline.
+    ``fn`` must write only its own index's slice of any shared output.
     """
-    k = max(1, min(_workers, n))
+    main = threading.current_thread() is threading.main_thread()
+    k = max(1, min(_workers if main else 1, n))
     bufs = [scratch() for _ in range(k)]
     cuts = [n * j // k for j in range(k + 1)]
     errors = np.geterr()  # numpy keeps one per thread; every share takes the caller's
@@ -362,23 +356,26 @@ def _wrap(value, dtype=None) -> Tensor:
     return Tensor(value)
 
 
-_recording = True  # False inside no_grad()
+class _Recording(threading.local):
+    on = True  # False inside this thread's no_grad()
+
+
+_recording = _Recording()
 
 
 @contextmanager
 def no_grad():
-    """Record no graph in the block: results of operations need no gradient
-    and keep no parents, whatever their inputs."""
-    global _recording
-    before, _recording = _recording, False
+    """Record no graph in the block, on this thread: results of operations
+    need no gradient and keep no parents, whatever their inputs."""
+    before, _recording.on = _recording.on, False
     try:
         yield
     finally:
-        _recording = before
+        _recording.on = before
 
 
 def _node(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
-    rg = _recording and any(p.requires_grad for p in parents)
+    rg = _recording.on and any(p.requires_grad for p in parents)
     return Tensor(data, rg, op=op, _parents=parents if rg else (),
                   _vjp=vjp if rg else None)
 
@@ -567,7 +564,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _node(out, (q, k, v), vjp, "attention")
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int,
+def _im2col(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int,
             cols: np.ndarray) -> np.ndarray:
     """Fill ``cols`` with the (C*kh*kw, ho*wo) columns of one padded (C, H, W)
     sample, and return it."""
@@ -575,14 +572,15 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int,
     taps = cols.reshape(c, kh, kw, ho, wo)
     for i in range(kh):
         for j in range(kw):
-            taps[:, i, j] = xp[:, i : i + s * ho : s, j : j + s * wo : s]
+            taps[:, i, j] = xp[:, i : i + ho, j : j + wo]
     return cols
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of (N,C,H,W) input with (O,C,kh,kw) kernels.
+def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 2-D cross-correlation of (N,C,H,W) input with (O,C,kh,kw)
+    kernels.
 
-    ``stride`` and ``padding`` apply equally to both spatial axes.  Forward
+    ``padding`` applies equally to both spatial axes.  Forward
     and vjp build one sample's im2col columns at a time (a batch's block is
     ~100 MB on audio-sized maps), in one reused block per CPU, and split the
     samples over the CPUs.  The kernel gradient is the sum, in sample order,
@@ -595,9 +593,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     o, c2, kh, kw = w.data.shape
     if c != c2:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {c2}")
-    s, p = int(stride), int(padding)
-    ho = (h + 2 * p - kh) // s + 1
-    wo = (wd + 2 * p - kw) // s + 1
+    p = int(padding)
+    ho = h + 2 * p - kh + 1
+    wo = wd + 2 * p - kw + 1
     if ho < 1 or wo < 1:
         raise ShapeError(
             f"conv2d kernel {kh}x{kw} does not fit padded input {h + 2 * p}x{wd + 2 * p}"
@@ -610,7 +608,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         return np.empty((c * kh * kw, ho * wo), dtype=out.dtype)
 
     def forward(b, cols):
-        np.matmul(w2, _im2col(xp[b], kh, kw, s, ho, wo, cols), out=out[b])
+        np.matmul(w2, _im2col(xp[b], kh, kw, ho, wo, cols), out=out[b])
 
     _per_sample(forward, n, columns)
 
@@ -622,13 +620,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         def backward(b, cols):
             # recompute columns rather than closing over them: on audio-sized
             # maps stored columns would be the dominant memory cost
-            np.matmul(g2[b], _im2col(xp[b], kh, kw, s, ho, wo, cols).T, out=terms[b])
+            np.matmul(g2[b], _im2col(xp[b], kh, kw, ho, wo, cols).T, out=terms[b])
             if dxp is None:
                 return
             dcols = np.matmul(w2.T, g2[b], out=cols).reshape(c, kh, kw, ho, wo)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[b, :, i : i + s * ho : s, j : j + s * wo : s] += dcols[:, i, j]
+                    dxp[b, :, i : i + ho, j : j + wo] += dcols[:, i, j]
 
         _per_sample(backward, n, columns)
         dw = np.zeros(w2.shape, dtype=out.dtype)

@@ -14,18 +14,18 @@ cannot draw raises its ``InfeasibleSampleError``, and a split that holds
 no record out its ``CorpusError``, before any cell trains.
 
 The whole run is a pure function of (spec, corpus): reruns reproduce the
-report byte for byte. Independent cells may run in parallel worker
-processes; the ``PQC_THREADS`` environment variable caps the worker count
-(default 1, i.e. serial). Workers are forked, so each one shares the
-caller's feature store, warm entries included, and decodes only the media
-files it does not hold; ``PQC_THREADS`` above 1 therefore needs a platform
-with the ``fork`` start method.
+report byte for byte. Independent cells may run in parallel on threads of
+this process; the ``PQC_THREADS`` environment variable caps how many cells
+run at once (default 1, i.e. serial). Every cell reads the caller's one
+feature store, warm entries included, which holds one array per media file
+whichever cells read it. A cell thread runs each op on its own thread, and
+takes the caller's numpy error state.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -150,30 +150,13 @@ def run_cell(spec: ExperimentSpec, store: FeatureStore,
     return outcome, result
 
 
-_run = None  # (spec, store, jobs); _share sets it in forked workers only
-
-
-def _share(spec, store, jobs) -> None:
-    global _run
-    _run = (spec, store, jobs)
-
-
-def _worker(i: int) -> CellOutcome:
-    spec, store, jobs = _run
-    return run_cell(spec, store, *jobs[i])[0]
-
-
 def _worker_count(n_cells: int) -> int:
     raw = os.environ.get("PQC_THREADS", "1").strip() or "1"
     try:
         limit = int(raw)
     except ValueError as exc:
         raise ValueError(f"PQC_THREADS must be an integer, got {raw!r}") from exc
-    workers = max(1, min(limit, n_cells))
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise ValueError(f"PQC_THREADS={raw} needs the fork start method, which this "
-                         "platform lacks; unset PQC_THREADS or set it to 1")
-    return workers
+    return max(1, min(limit, n_cells))
 
 
 @dataclass
@@ -212,11 +195,16 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
     workers = _worker_count(len(jobs))
     store = store if store is not None else FeatureStore(corpus)
     if workers > 1:
-        # forked workers inherit the store and the draws without a copy; one
-        # cell per task balances cells of unequal cost
-        with multiprocessing.get_context("fork").Pool(
-                workers, _share, (spec, store, jobs)) as pool:
-            outcomes = pool.map(_worker, range(len(jobs)), chunksize=1)
+        # numpy keeps one error state per thread; every cell takes the caller's
+        errors = np.geterr()
+
+        def cell(job) -> CellOutcome:
+            with np.errstate(**errors):
+                return run_cell(spec, store, *job)[0]
+
+        # one cell per task balances cells of unequal cost
+        with ThreadPoolExecutor(workers, thread_name_prefix="pineq-cell") as pool:
+            outcomes = list(pool.map(cell, jobs))
     else:
         outcomes = [run_cell(spec, store, *job)[0] for job in jobs]
 

@@ -176,7 +176,7 @@ class CnnBackbone(Module):
         for wt, k in zip(self.convs, self._kernels):
             # pooling first rectifies a quarter of the values; the rectifier is
             # monotone, so the result and its gradients are the same bits
-            x = maxpool2d(conv2d(x, wt, stride=1, padding=k // 2), 2).relu()
+            x = maxpool2d(conv2d(x, wt, padding=k // 2), 2).relu()
         return self.proj(x.reshape(x.data.shape[0], self.flat_dim))
 
 

@@ -84,7 +84,8 @@ class FeatureStore:
     result by media path, so repeated epochs and repeated experiment cells
     over the same corpus pay the DSP cost once. Tokens are computed per call.
     Training and evaluation read it through :func:`_stack`, one array per
-    distinct path of a batch.
+    distinct path of a batch. Parallel experiment cells share one store
+    from their threads, and it keeps one array per path.
     """
 
     def __init__(self, corpus: Corpus):
@@ -94,7 +95,10 @@ class FeatureStore:
     def _get(self, meta: MediaMeta, decode, finish) -> np.ndarray:
         hit = self._cache.get(meta.path)
         if hit is None:
-            hit = self._cache[meta.path] = finish(self.corpus.decode_media(meta, decode))
+            # two threads that decode one file at once both get the array
+            # that the first of them stored
+            hit = self._cache.setdefault(
+                meta.path, finish(self.corpus.decode_media(meta, decode)))
         return hit
 
     def audio_map(self, meta: MediaMeta) -> np.ndarray:

@@ -92,10 +92,8 @@ def _primitive_cases(rng):
          [t(2, 3, 4)]),
         ("matmul", lambda a, b: (a @ b).sum(), [t(3, 4), t(4, 2)]),
         ("bmm", lambda a, b: bmm(a, b).sum(), [t(2, 3, 4), t(2, 4, 2)]),
-        ("conv2d", lambda x, w: conv2d(x, w, stride=1, padding=1).sum(),
+        ("conv2d", lambda x, w: conv2d(x, w, padding=1).sum(),
          [t(1, 2, 6, 6), t(3, 2, 3, 3)]),
-        ("conv2d-strided", lambda x, w: conv2d(x, w, stride=2, padding=0).sum(),
-         [t(2, 1, 7, 7), t(2, 1, 3, 3)]),
         ("maxpool2d", lambda x: maxpool2d(x, 2).sum(), [t(1, 2, 6, 6, spread=10.0)]),
         ("softmax", lambda x: (softmax(x, axis=-1) * coeff).sum(), [t(3, 5)]),
         ("log_softmax", lambda x: (log_softmax(x, axis=-1) * coeff).sum(), [t(3, 5)]),
@@ -424,8 +422,8 @@ def test_criterion_7_directional_reproduction(tmp_path, monkeypatch):
     corpus = generate_synthetic(SyntheticConfig(records=80, seed=0),
                                 tmp_path / "c7")
 
-    # The features are decoded once, here; the cells run in two forked
-    # workers (one per core of a 2-core machine) that share this store.
+    # The features are decoded once, here; the cells run on two threads
+    # (one per core of a 2-core machine) that share this store.
     store = FeatureStore(corpus)
     for rec in corpus.records:
         for meta in rec.audio:

@@ -10,8 +10,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +68,12 @@ def naive_matmul(a, b):
     return out
 
 
-def naive_conv2d(x, w, stride=1, padding=0):
+def naive_conv2d(x, w, padding=0):
     n, c, h, wd = x.shape
     o, c2, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (wd + 2 * padding - kw) // stride + 1
+    ho = h + 2 * padding - kh + 1
+    wo = wd + 2 * padding - kw + 1
     out = np.zeros((n, o, ho, wo), dtype=x.dtype)
     for ni in range(n):
         for oi in range(o):
@@ -82,7 +84,7 @@ def naive_conv2d(x, w, stride=1, padding=0):
                         for ky in range(kh):
                             for kx in range(kw):
                                 acc += (
-                                    xp[ni, ci, yi * stride + ky, xi * stride + kx]
+                                    xp[ni, ci, yi + ky, xi + kx]
                                     * w[oi, ci, ky, kx]
                                 )
                     out[ni, oi, yi, xi] = acc
@@ -158,11 +160,11 @@ def test_matmul_shape_errors():
 
 
 def test_conv2d_against_direct_summation():
-    for stride, padding in [(1, 0), (1, 2), (2, 1), (3, 0)]:
+    for padding in [0, 1, 2]:
         x = t64(2, 3, 9, 8)
         w = t64(4, 3, 3, 3)
-        got = conv2d(x, w, stride=stride, padding=padding).data
-        want = naive_conv2d(x.data, w.data, stride=stride, padding=padding)
+        got = conv2d(x, w, padding=padding).data
+        want = naive_conv2d(x.data, w.data, padding=padding)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -173,11 +175,11 @@ def _f32(rng, *shape):
 def test_conv2d_input_without_grad_gets_no_gradient():
     rng = np.random.default_rng(21)
     x, w = _f32(rng, 3, 2, 11, 9), Tensor(_f32(rng, 4, 2, 3, 3), requires_grad=True)
-    frozen = conv2d(Tensor(x), w, stride=2, padding=1)
+    frozen = conv2d(Tensor(x), w, padding=1)
     g = _f32(rng, *frozen.shape)
     dx, dw = frozen._vjp(g)
     assert dx is None
-    dx_live, dw_live = conv2d(Tensor(x, requires_grad=True), w, stride=2, padding=1)._vjp(g)
+    dx_live, dw_live = conv2d(Tensor(x, requires_grad=True), w, padding=1)._vjp(g)
     assert dx_live is not None
     np.testing.assert_array_equal(dw, dw_live)
 
@@ -192,21 +194,21 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("stride,padding", [(2, 1), (1, 2)])
-def test_conv2d_runs_one_sample_at_a_time(stride, padding):
+@pytest.mark.parametrize("padding", [1, 2])
+def test_conv2d_runs_one_sample_at_a_time(padding):
     rng = np.random.default_rng(22)
     n, c, h, wd, o, k = 8, 8, 24, 20, 4, 3
     x, w = _f32(rng, n, c, h, wd), Tensor(_f32(rng, o, c, k, k))
-    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    ho, wo = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
     g = _f32(rng, n, o, ho, wo)
 
     def forward_and_dx():
-        y = conv2d(Tensor(x, requires_grad=True), w, stride, padding)
+        y = conv2d(Tensor(x, requires_grad=True), w, padding)
         return y.data, y._vjp(g)[0]
 
     (y, dx), peak = _traced_peak(forward_and_dx)
     for b in range(n):
-        yb = conv2d(Tensor(x[b : b + 1], requires_grad=True), w, stride, padding)
+        yb = conv2d(Tensor(x[b : b + 1], requires_grad=True), w, padding)
         np.testing.assert_array_equal(y[b : b + 1], yb.data)
         np.testing.assert_array_equal(dx[b : b + 1], yb._vjp(g[b : b + 1])[0])
     # the padded input, its gradient and the output, plus a few one-sample
@@ -246,17 +248,17 @@ def _assert_same_bits(serial, split):
 
 @pytest.mark.parametrize("shares", SHARES)
 @pytest.mark.parametrize("n", [1, 5])
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [1, 2])
 @pytest.mark.parametrize("input_grad", [True, False], ids=["dx", "no-dx"])
 def test_conv2d_has_the_same_bits_on_one_worker_and_several(monkeypatch, shares, n,
-                                                            stride, input_grad):
+                                                            padding, input_grad):
     rng = np.random.default_rng(31)
     x, w = _f32(rng, n, 3, 13, 11), _f32(rng, 4, 3, 3, 3)
-    g = _f32(rng, n, 4, 12 // stride + 1, 10 // stride + 1)
+    g = _f32(rng, n, 4, 11 + 2 * padding, 9 + 2 * padding)
 
     def run(b=slice(None)):
         y = conv2d(Tensor(x[b], requires_grad=input_grad), Tensor(w, requires_grad=True),
-                   stride, 1)
+                   padding)
         return (y.data,) + y._vjp(g[b])
 
     serial = _with_workers(monkeypatch, 1, run)
@@ -334,6 +336,32 @@ def test_every_share_keeps_the_callers_numpy_error_state(monkeypatch):
             _with_workers(monkeypatch, 2, run)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         _with_workers(monkeypatch, 2, run)
+
+
+def test_an_op_splits_on_the_main_thread_only(monkeypatch):
+    # off the main thread (a parallel experiment cell's) the other CPUs are
+    # already busy, so every op runs inline
+    rng = np.random.default_rng(43)
+    x, w = _f32(rng, 4, 2, 9, 7), _f32(rng, 3, 2, 3, 3)
+    pools = []
+    split = ad.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(threading.current_thread().name)
+        return split(*args, **kwargs)
+
+    def run():
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y = maxpool2d(conv2d(xt, wt, padding=1), 2)
+        y.sum().backward()
+        return y.data, xt.grad, wt.grad
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", spy)
+    with ThreadPoolExecutor(1, thread_name_prefix="cell") as pool:
+        inline = _with_workers(monkeypatch, 2, lambda: pool.submit(run).result(timeout=60))
+    assert pools == []
+    _assert_same_bits(inline, _with_workers(monkeypatch, 2, run))
+    assert pools and set(pools) == {threading.main_thread().name}
 
 
 _NO_THREAD_OUTLIVES_ITS_OP = '''
@@ -659,6 +687,29 @@ def test_no_grad_records_no_graph_and_keeps_values():
     assert matmul(x, w).requires_grad
 
 
+def test_no_grad_on_one_thread_leaves_another_threads_graph_alone():
+    rng = np.random.default_rng(41)
+    x, w = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((4, 3), (3, 2)))
+    entered, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with ad.no_grad():
+            entered.set()
+            leave.wait(timeout=60)
+            return matmul(x, w).requires_grad
+
+    with ThreadPoolExecutor(1) as pool:
+        held = pool.submit(hold)
+        try:
+            assert entered.wait(timeout=60)
+            (matmul(x, w) ** 2.0).sum().backward()
+        finally:
+            leave.set()
+        assert held.result(timeout=60) is False  # the held thread recorded nothing
+    assert x.grad is not None and w.grad is not None
+    np.testing.assert_allclose(w.grad, 2.0 * x.data.T @ (x.data @ w.data))
+
+
 def test_broadcast_add_gradient_sums_over_batch():
     x = t64(4, 3)
     bias = t64(3)
@@ -713,7 +764,7 @@ def test_conv2d_gradient_matches_finite_differences():
     x = t64(2, 2, 6, 5)
     w = t64(3, 2, 3, 3)
     err = grad_check(
-        lambda xx, ww: (conv2d(xx, ww, stride=2, padding=1) ** 2).sum(),
+        lambda xx, ww: (conv2d(xx, ww, padding=1) ** 2).sum(),
         [x, w],
         eps=1e-4,
     )

@@ -1,11 +1,7 @@
 """Experiment-matrix orchestration tests on a tiny synthetic corpus."""
 
-import multiprocessing
 import os
-import signal
-import subprocess
-import sys
-from pathlib import Path
+import threading
 
 import numpy as np
 import pytest
@@ -79,10 +75,12 @@ def test_infeasible_samples_rejected_before_training(corpus, store):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_infeasible_cell_fails_before_any_cell_trains(corpus, store, monkeypatch,
-                                                      tmp_path, threads):
+                                                      threads):
     # random can draw 200 of a record's 320 pairs; audio-major only 8 x 16 = 128
-    def spy(*args, **kwargs):  # a file, so that forked workers report too
-        (tmp_path / "trained").touch()
+    trained = []
+
+    def spy(*args, **kwargs):
+        trained.append(args)
         raise AssertionError("a cell trained")
 
     monkeypatch.setattr(experiment, "train", spy)
@@ -90,17 +88,16 @@ def test_infeasible_cell_fails_before_any_cell_trains(corpus, store, monkeypatch
     spec = cnn_spec(strategies=("random", "audio-major"), samples_per_record=(200,))
     with pytest.raises(InfeasibleSampleError, match="pool of 8 views"):
         run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
-    assert not (tmp_path / "trained").exists()
+    assert not trained
 
 
-@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "forked"])
-def test_each_cell_is_drawn_once(corpus, store, monkeypatch, tmp_path, threads):
-    calls = tmp_path / "calls"
+@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "threads"])
+def test_each_cell_is_drawn_once(corpus, store, monkeypatch, threads):
+    calls = []
     sample = experiment.sample_corpus_pairs
 
-    def spy(*args, **kwargs):  # a file, so that forked workers report too
-        with calls.open("a") as f:
-            f.write("drawn\n")
+    def spy(*args, **kwargs):
+        calls.append(args)
         return sample(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "sample_corpus_pairs", spy)
@@ -110,7 +107,7 @@ def test_each_cell_is_drawn_once(corpus, store, monkeypatch, tmp_path, threads):
         monkeypatch.setenv("PQC_THREADS", threads)
     spec = cnn_spec(strategies=("random", "audio-major"), seeds=(0, 1))
     run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
-    assert len(calls.read_text().splitlines()) == len(spec.cells()) == 4
+    assert len(calls) == len(spec.cells()) == 4
 
 
 def test_split_that_holds_no_record_out_fails_before_training(tmp_path, monkeypatch):
@@ -222,67 +219,43 @@ def test_parallel_workers_match_serial(corpus, store, monkeypatch):
     assert parallel.csv_text() == serial.csv_text()
 
 
-# Run in a child process, so that a forked worker waiting on its parent's
-# threads fails on the timeout rather than hanging the suite.
-_FORK_AFTER_OP_THREADS = """
-import os, sys, threading
-threads_at_fork = []
-os.register_at_fork(before=lambda: threads_at_fork.append(threading.active_count()))
-import numpy as np
-from pineq import autodiff, experiment
-from pineq.corpus import load_corpus
-from pineq.experiment import ExperimentSpec, run_experiment, write_outputs
+def test_threaded_cells_match_serial_without_forking(corpus, store, monkeypatch,
+                                                   tmp_path):
+    # cells run on threads of this process, which share one store; a cell
+    # thread runs its ops inline, while a serial grid splits them
+    arch = {"ensemble": {"embed_dim": 8, "head_hidden": 6}, "crossmodal": TINY_XM}
+    spec = ExperimentSpec(models=("ensemble", "crossmodal"), strategies=("random",),
+                          samples_per_record=(2,), seeds=(0, 1), epochs=1, batch=8)
+    pools, cells = [], []
+    split, train = autodiff.ThreadPoolExecutor, experiment.train
 
-manifest, out = sys.argv[1:]
-autodiff._workers = 2  # the split path, whatever this machine's CPUs
-x = autodiff.Tensor(np.ones((4, 5, 3), np.float32))
-autodiff.attention(x, x, x)  # four slices over two threads
-assert threading.active_count() == 1, threading.enumerate()
-train = experiment.train
+    def op_pool(*args, **kwargs):
+        pools.append(threading.current_thread().name)
+        return split(*args, **kwargs)
 
-def spy(*args, **kwargs):  # a file, so that forked workers report too
-    with open(os.path.join(out, "seen"), "a") as f:
-        f.write(f"{os.getpid()} {autodiff._workers} {threading.active_count()}\\n")
-    return train(*args, **kwargs)
+    def spy(*args, **kwargs):
+        cells.append(threading.current_thread().name)
+        return train(*args, **kwargs)
 
-experiment.train = spy
-spec = ExperimentSpec(models=("ensemble",), strategies=("random",),
-                      samples_per_record=(2,), seeds=(0, 1), epochs=1, batch=8)
-for name, threads in (("serial", "1"), ("forked", "2")):
-    os.environ["PQC_THREADS"] = threads
-    result = run_experiment(spec, load_corpus(manifest),
-                            architectures={"ensemble": {"embed_dim": 8, "head_hidden": 6}})
-    write_outputs(result, os.path.join(out, name))
-print(os.getpid(), *threads_at_fork)
-"""
+    def no_fork():
+        raise AssertionError("a parallel grid forked")
 
-
-def test_forked_workers_after_the_op_threads_started_match_serial(corpus, tmp_path):
-    # an op joins the threads it starts, so the parent forks from one
-    # thread, and a forked worker runs its ops on its own thread
-    env = dict(os.environ, PYTHONPATH=str(Path(autodiff.__file__).resolve().parents[1]))
-    # Python 3.12 and later warn when a process with threads forks; the
-    # warning is shown here, not raised, because os.fork clears the error
-    proc = subprocess.Popen([sys.executable, "-W", "always::DeprecationWarning",
-                             "-c", _FORK_AFTER_OP_THREADS,
-                             str(corpus.root / "manifest.txt"), str(tmp_path)],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, start_new_session=True)
-    try:
-        stdout, stderr = proc.communicate(timeout=600)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)  # the forked workers too
-        proc.communicate()
-        raise
-    assert proc.returncode == 0, stderr
-    assert "multi-threaded" not in stderr, stderr
-    assert (tmp_path / "forked" / "results.csv").read_bytes() == \
-        (tmp_path / "serial" / "results.csv").read_bytes()
-    parent, *threads_at_fork = stdout.split()
-    assert threads_at_fork == ["1", "1"]  # each of the two workers forked from one thread
-    cells = [line.split() for line in (tmp_path / "seen").read_text().splitlines()]
-    assert [c[1:] for c in cells if c[0] == parent] == [["2", "1"]] * 2
-    assert [c[1:] for c in cells if c[0] != parent] == [["1", "1"]] * 2
+    monkeypatch.setattr(autodiff, "_workers", 2)  # ops split wherever they may
+    monkeypatch.setattr(autodiff, "ThreadPoolExecutor", op_pool)
+    monkeypatch.setattr(experiment, "train", spy)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for name, threads in (("serial", "1"), ("threads", "2")):
+        monkeypatch.setenv("PQC_THREADS", threads)
+        write_outputs(run_experiment(spec, corpus, architectures=arch, store=store),
+                      tmp_path / name)
+        assert set(pools) == ({threading.main_thread().name} if name == "serial" else set())
+        pools.clear()
+    main = threading.main_thread().name
+    assert cells[:4] == [main] * 4
+    assert main not in cells[4:] and len(cells) == 8
+    for name in ("report.txt", "results.csv"):
+        assert (tmp_path / "threads" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes()
 
 
 def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatch):
@@ -306,9 +279,11 @@ def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatc
     assert parallel.csv_text() == serial.csv_text()
 
 
-def test_workers_without_fork_are_a_named_error(corpus, store, monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setenv("PQC_THREADS", "2")
-    with pytest.raises(ValueError, match="PQC_THREADS"):
-        run_experiment(cnn_spec(seeds=(0, 1)), corpus,
-                       architectures=CNN_ARCH, store=store)
+def test_a_diverging_cell_raises_the_callers_floating_point_error(corpus, store,
+                                                                 monkeypatch):
+    # numpy keeps one error state per thread; a cell thread takes the caller's
+    spec = cnn_spec(seeds=(0, 1), lr=1e30)  # overflows the weights on the first step
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PQC_THREADS", threads)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)

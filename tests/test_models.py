@@ -173,7 +173,7 @@ def test_cnn_pool_before_rectifier_is_bitwise_equal_to_rectifier_first(channels)
     def rectifier_first(inp):
         h = inp
         for wt, k in zip(net.convs, net._kernels):
-            pre = conv2d(h, wt, stride=1, padding=k // 2)
+            pre = conv2d(h, wt, padding=k // 2)
             n, c, hh, ww = pre.shape  # even at every stage of a 32x24 input
             blocks = np.sort(pre.data.reshape(n, c, hh // 2, 2, ww // 2, 2)
                              .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, -1, 4), axis=-1)

@@ -1,6 +1,8 @@
 """Loss, training-loop, evaluation, and report-formatting tests."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -217,6 +219,27 @@ def test_store_caches_one_array_per_media_file(small_corpus, monkeypatch, stream
     want = (patchify_audio(fmap) if stream == "audio"
             else patchify_image(fmap.transpose(1, 2, 0)))  # channel-last patches
     np.testing.assert_array_equal(tokens, want)
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_threads_that_decode_one_file_at_once_share_one_array(small_corpus, monkeypatch,
+                                                              threads):
+    # parallel experiment cells share one store: threads that miss on the
+    # same file at the same moment all decode it, and all keep one array
+    store = FeatureStore(small_corpus)
+    meta = small_corpus.records[0].audio[0]
+    all_decoding = threading.Barrier(threads, timeout=60)
+    decode = training.preprocess_audio
+
+    def meet(data):
+        all_decoding.wait()
+        return decode(data)
+
+    monkeypatch.setattr(training, "preprocess_audio", meet)
+    with ThreadPoolExecutor(threads) as pool:
+        got = list(pool.map(lambda _: store.audio_map(meta), range(threads), timeout=60))
+    assert all(a is store._cache[meta.path] for a in got)
+    assert len(store._cache) == 1
 
 
 # ---------------------------------------------------------------------------
