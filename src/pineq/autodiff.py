@@ -7,8 +7,9 @@ windows, softmax and the shape plumbing around them
 (reshape/transpose/concat/narrow/take/sum).  The transformer layers run
 as a few nodes each: :func:`linear` (matrix product plus bias),
 :func:`layer_norm` and :func:`attention` are one node apiece, with
-closed-form vector-Jacobian products; attention stores no (N, N) score
-or probability array, forward or backward.
+closed-form vector-Jacobian products; attention takes (B, N, C) operands
+and a head count, reads each head's columns as views, and stores no (N, N)
+score or probability array, forward or backward.
 Rather than pulling in a framework, this module records a computation
 graph while the forward pass runs and replays it backwards.
 
@@ -487,42 +488,47 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), vjp, "bmm")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """``softmax(q k^T / sqrt(d)) v`` over (B, N, d) queries and (B, M, d)
-    keys with (B, M, e) values.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
+    """``softmax(q k^T / sqrt(d)) v`` per head over (B, N, C) queries and
+    (B, M, C) keys with (B, M, E) values, into a (B, N, E) output.
 
-    Forward and vjp run one (batch*head) slice at a time, with the slices
-    split over the CPUs.  Each block of a slice's ``ATTENTION_CHUNK``
-    queries is scored into one cache-sized (128, M) block, exponentiated
-    and multiplied with the values, and divided by its row sums after that
-    product.  Only the output and each row's log-sum-exp are kept; the vjp
-    recomputes each block's probabilities from the log-sum-exp and uses
+    Forward and vjp run one (batch*head) slice at a time, split over the
+    CPUs; slice ``i`` is a view of head ``i % heads``'s ``d = C/heads`` (or
+    ``E/heads``) columns of sample ``i // heads``.  Each block of its
+    ``ATTENTION_CHUNK`` queries is scored into one cache-sized (128, M)
+    block, exponentiated, multiplied with the values and then divided by
+    its row sums.  Only the output and each row's log-sum-exp are kept; the
+    vjp recomputes each block's probabilities from the log-sum-exp and uses
     ``rowsum(dO * O)`` for the softmax's shift term (Rabe & Staats 2021;
-    Dao et al. 2022).  Each slice writes only its own rows of every
+    Dao et al. 2022).  Each slice writes only its own block of every
     result, so the bits are the same on any number of CPUs.
     """
     if q.data.ndim != 3 or k.data.ndim != 3 or v.data.ndim != 3:
-        raise ShapeError("attention expects rank-3 (B, N, d) operands")
+        raise ShapeError("attention expects rank-3 (B, N, C) operands")
     qd, kd, vd = q.data, k.data, v.data
-    b, n, d = qd.shape
-    if kd.shape[0] != b or vd.shape[0] != b or kd.shape[2] != d \
-            or vd.shape[1] != kd.shape[1]:
-        raise ShapeError(f"attention shapes incompatible: q {qd.shape}, k {kd.shape}, "
-                         f"v {vd.shape}")
-    scale = 1.0 / math.sqrt(d)
+    b, n, c = qd.shape
+    if kd.shape != (b, kd.shape[1], c) or vd.shape[:2] != kd.shape[:2] \
+            or heads < 1 or c % heads or vd.shape[2] % heads:
+        raise ShapeError(f"attention shapes incompatible with {heads} heads: q {qd.shape}, "
+                         f"k {kd.shape}, v {vd.shape}")
+    scale = 1.0 / math.sqrt(c // heads)
     # base-2 logits: exp2(qs k^T) == exp(q k^T / sqrt(d)), and exp2 is the
-    # faster SIMD path; scaling q costs N*d products rather than N*M
+    # faster SIMD path; scaling q costs N*C products rather than N*M*heads
     qs = qd * (scale * _LOG2E)
     out = np.empty((b, n, vd.shape[2]), dtype=np.result_type(qs, kd, vd))
-    lse = np.empty((b, n, 1), dtype=out.dtype)  # base-2 log-sum-exp per row
+    lse = np.empty((b * heads, n, 1), dtype=out.dtype)  # base-2 log-sum-exp per row
     chunks = [slice(start, min(start + ATTENTION_CHUNK, n))
               for start in range(0, n, ATTENTION_CHUNK)]
+
+    def head(a, i):  # slice i's columns of a (B, rows, heads * width) array
+        w = a.shape[2] // heads
+        return a[i // heads, :, i % heads * w : (i % heads + 1) * w]
 
     def block():
         return np.empty((min(n, ATTENTION_CHUNK), kd.shape[1]), dtype=out.dtype)
 
     def forward(i, p):
-        qi, kt, vi, oi, li = qs[i], kd[i].T, vd[i], out[i], lse[i]
+        qi, kt, vi, oi, li = head(qs, i), head(kd, i).T, head(vd, i), head(out, i), lse[i]
         for rows in chunks:
             s = np.matmul(qi[rows], kt, out=p[: rows.stop - rows.start])
             top = s.max(axis=-1, keepdims=True)
@@ -533,7 +539,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             oi[rows] /= total
             li[rows] = top + np.log2(total)
 
-    _per_sample(forward, b, block)
+    _per_sample(forward, b * heads, block)
 
     def vjp(g):
         dq = np.empty_like(qs)
@@ -542,23 +548,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
         def backward(i, blocks):
             p, ds = blocks
-            qi, ki, kt, vt, gi, li = qs[i], kd[i], kd[i].T, vd[i].T, g[i], lse[i]
-            dsum = (gi * out[i]).sum(axis=-1, keepdims=True)
+            qi, ki, vt, gi, li = head(qs, i), head(kd, i), head(vd, i).T, head(g, i), lse[i]
+            dqi, dki, dvi = head(dq, i), head(dk, i), head(dv, i)
+            dsum = (gi * head(out, i)).sum(axis=-1, keepdims=True)
             for rows in chunks:
-                s = np.matmul(qi[rows], kt, out=p[: rows.stop - rows.start])
+                s = np.matmul(qi[rows], ki.T, out=p[: rows.stop - rows.start])
                 s -= li[rows]
                 np.exp2(s, out=s)
-                dv[i] += np.matmul(s.T, gi[rows])
+                dvi += np.matmul(s.T, gi[rows])
                 # dP, then the score gradient in place
                 dsi = np.matmul(gi[rows], vt, out=ds[: rows.stop - rows.start])
                 dsi -= dsum[rows]
                 dsi *= s
-                np.matmul(dsi, ki, out=dq[i, rows])
-                dk[i] += np.matmul(dsi.T, qi[rows])
-            dq[i] *= scale
-            dk[i] *= 1.0 / _LOG2E  # qs carries scale * log2(e); the key gradient wants scale
+                np.matmul(dsi, ki, out=dqi[rows])
+                dki += np.matmul(dsi.T, qi[rows])
+            dqi *= scale
+            dki *= 1.0 / _LOG2E  # qs carries scale * log2(e); the key gradient wants scale
 
-        _per_sample(backward, b, lambda: (block(), block()))
+        _per_sample(backward, b * heads, lambda: (block(), block()))
         return (dq, dk, dv)
 
     return _node(out, (q, k, v), vjp, "attention")

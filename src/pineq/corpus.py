@@ -517,14 +517,14 @@ class SyntheticConfig:
             raise ValueError("need at least one record")
         if len(self.proportions) != len(QualityLabel):
             raise ValueError("need one proportion per grade")
-        if any(p < 0 for p in self.proportions) or abs(sum(self.proportions) - 1) > 1e-6:
+        if not all(p >= 0 for p in self.proportions) or abs(sum(self.proportions) - 1) > 1e-6:
             raise ValueError("proportions must be non-negative and sum to 1")
         for name in ("audio_separability", "visual_separability", "noise"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.audio_seconds <= 0.05:
-            raise ValueError("soundtracks must be longer than 50 ms")
+        if not 0.05 < self.audio_seconds < math.inf:  # NaN fails too
+            raise ValueError(f"soundtracks must be finite and over 50 ms, got {self.audio_seconds}")
         if self.image_width < 2 or self.image_height < 2:
             raise ValueError("images must be at least 2x2")
         if self.seed < 0:

@@ -268,13 +268,13 @@ class CrossModalConfig:
     visual_patch_dim: int = 768
 
     def __post_init__(self) -> None:
-        if self.token_dim % self.heads != 0:
-            raise ShapeError(f"token dim {self.token_dim} not divisible by {self.heads} heads")
         for name in ("token_dim", "heads", "modality_blocks", "joint_blocks",
                      "mlp_ratio", "head_hidden", "audio_tokens", "audio_patch_dim",
                      "visual_tokens", "visual_patch_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.token_dim % self.heads != 0:
+            raise ShapeError(f"token dim {self.token_dim} not divisible by {self.heads} heads")
 
 
 class CrossModalEncoder(Module):

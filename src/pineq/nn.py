@@ -121,15 +121,7 @@ class SelfAttention(Module):
         self.wo = Linear(dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, n, c = x.data.shape
-        h = self.heads
-        dh = c // h
-
-        def split(t: Tensor) -> Tensor:
-            return t.reshape(b, n, h, dh).transpose(0, 2, 1, 3).reshape(b * h, n, dh)
-
-        y = attention(split(self.wq(x)), split(self.wk(x)), split(self.wv(x)))
-        return self.wo(y.reshape(b, h, n, dh).transpose(0, 2, 1, 3).reshape(b, n, c))
+        return self.wo(attention(self.wq(x), self.wk(x), self.wv(x), self.heads))
 
 
 class TransformerBlock(Module):

@@ -228,8 +228,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < np.inf:  # NaN fails too
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.smoothing < 1.0:
             raise ValueError("smoothing must lie in [0, 1)")
         if self.pretrain_steps < 0:

@@ -290,28 +290,38 @@ def test_maxpool2d_has_the_same_bits_on_one_worker_and_several(monkeypatch, shar
                       _with_workers(monkeypatch, shares, run))
 
 
-# (slices, queries, keys, query/key width, value width), dtype; two slices
-# leave a third share without one, and 130, 300 and 129 queries end in a
-# partial block of ATTENTION_CHUNK
+# (samples, queries, keys, query/key width, value width, heads), dtype; two
+# slices leave a third share without one, 130, 300 and 129 queries end in a
+# partial block of ATTENTION_CHUNK, and each head of the multi-head cases
+# reads a value block of another width than its query/key block
 ATTENTION_CASES = {
-    "one-slice": ((1, 200, 200, 8, 8), np.float32),
-    "two-slices": ((2, 130, 130, 8, 8), np.float32),
-    "odd-slices": ((5, 130, 130, 8, 8), np.float32),
-    "keys-differ": ((3, 300, 77, 16, 12), np.float32),
-    "float64": ((4, 129, 140, 8, 6), np.float64),
+    "one-slice": ((1, 200, 200, 8, 8, 1), np.float32),
+    "two-slices": ((2, 130, 130, 8, 8, 1), np.float32),
+    "odd-slices": ((5, 130, 130, 8, 8, 1), np.float32),
+    "keys-differ": ((3, 300, 77, 16, 12, 1), np.float32),
+    "float64": ((4, 129, 140, 8, 6, 1), np.float64),
+    "two-heads": ((3, 130, 90, 16, 24, 2), np.float32),
+    "four-heads": ((2, 200, 140, 32, 16, 4), np.float32),
+    "four-heads-float64": ((1, 129, 129, 16, 24, 4), np.float64),
 }
+
+
+def _attention_operands(case, seed):
+    """q, k, v and an output gradient for ``case``, and its head count."""
+    (b, n, m, c, e, heads), dtype = ATTENTION_CASES[case]
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=shape).astype(dtype)
+            for shape in ((b, n, c), (b, m, c), (b, m, e), (b, n, e))], heads
 
 
 @pytest.mark.parametrize("shares", SHARES)
 @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
 def test_attention_has_the_same_bits_on_one_worker_and_several(monkeypatch, shares, case):
-    (b, n, m, d, e), dtype = ATTENTION_CASES[case]
-    rng = np.random.default_rng(37)
-    q, k, v, g = (rng.normal(size=shape).astype(dtype)
-                  for shape in ((b, n, d), (b, m, d), (b, m, e), (b, n, e)))
+    (q, k, v, g), heads = _attention_operands(case, 37)
+    b, dtype = q.shape[0], q.dtype
 
     def run(i=slice(None)):
-        y = attention(*(Tensor(a[i], requires_grad=True) for a in (q, k, v)))
+        y = attention(*(Tensor(a[i], requires_grad=True) for a in (q, k, v)), heads)
         return (y.data,) + y._vjp(g[i])
 
     serial = _with_workers(monkeypatch, 1, run)
@@ -320,6 +330,22 @@ def test_attention_has_the_same_bits_on_one_worker_and_several(monkeypatch, shar
     # each slice is computed as a one-slice call computes it
     for i in range(b):
         _assert_same_bits([a[i : i + 1] for a in serial], run(slice(i, i + 1)))
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(ATTENTION_CASES)
+                                  if ATTENTION_CASES[c][0][5] > 1])
+def test_each_attention_head_is_a_one_head_call_on_its_columns(case):
+    # a contiguous copy of each head's columns, as a split into heads makes it
+    (q, k, v, g), heads = _attention_operands(case, 38)
+    y = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), heads)
+    full = (y.data,) + y._vjp(g)
+    d, e = q.shape[2] // heads, v.shape[2] // heads
+    for h in range(heads):
+        qk, vo = slice(h * d, (h + 1) * d), slice(h * e, (h + 1) * e)
+        one = attention(*(Tensor(np.ascontiguousarray(a[..., cols]), requires_grad=True)
+                          for a, cols in ((q, qk), (k, qk), (v, vo))))
+        got = (one.data,) + one._vjp(np.ascontiguousarray(g[..., vo]))
+        _assert_same_bits([a[..., cols] for a, cols in zip(full, (vo, qk, qk, vo))], got)
 
 
 def test_every_share_keeps_the_callers_numpy_error_state(monkeypatch):
@@ -536,6 +562,10 @@ def test_linear_and_attention_reject_bad_shapes():
         attention(t64(2, 5, 3), t64(2, 6, 3), t64(2, 5, 3))
     with pytest.raises(ShapeError):
         attention(t64(5, 3), t64(5, 3), t64(5, 3))
+    for heads, widths in ((0, (4, 4, 6)), (4, (6, 6, 4)), (2, (4, 4, 3))):
+        q, k, v = (t64(2, 5, w) for w in widths)
+        with pytest.raises(ShapeError, match=f"incompatible with {heads} heads"):
+            attention(q, k, v, heads)
 
 
 # the node chains the fused ops replace, kept as references
@@ -814,17 +844,19 @@ def test_linear_input_without_grad_gets_no_gradient():
     assert dx is None and dw.shape == (4, 3) and db.shape == (3,)
 
 
-@pytest.mark.parametrize("n", [5, ad.ATTENTION_CHUNK, 2 * ad.ATTENTION_CHUNK, 300],
-                         ids=["short", "one-chunk", "two-chunks", "ragged"])
-def test_attention_gradient_matches_finite_differences(n):
+@pytest.mark.parametrize("n, heads", [(5, 1), (ad.ATTENTION_CHUNK, 1),
+                                      (2 * ad.ATTENTION_CHUNK, 1), (300, 1), (40, 2)],
+                         ids=["short", "one-chunk", "two-chunks", "ragged", "two-heads"])
+def test_attention_gradient_matches_finite_differences(n, heads):
     # its own generator: drawn from RNG, the inputs would depend on which
     # tests ran before this one
     rng = np.random.default_rng(43)
     b, d = (2, 3) if n < ad.ATTENTION_CHUNK else (1, 2)
-    q, k, v = (Tensor(rng.uniform(-2.0, 2.0, (b, n, w)), requires_grad=True)
+    q, k, v = (Tensor(rng.uniform(-2.0, 2.0, (b, n, heads * w)), requires_grad=True)
                for w in (d, d, d + 1))
-    coeff = Tensor(rng.normal(size=(b, n, d + 1)))
-    err = grad_check(lambda qq, kk, vv: (attention(qq, kk, vv) * coeff).sum(), [q, k, v])
+    coeff = Tensor(rng.normal(size=(b, n, heads * (d + 1))))
+    err = grad_check(lambda qq, kk, vv: (attention(qq, kk, vv, heads) * coeff).sum(),
+                     [q, k, v])
     assert err < 1e-5, err
 
 

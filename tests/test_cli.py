@@ -232,9 +232,16 @@ def test_usage_errors(corpus_dir, tmp_path, capsys):
      "invalid value for --samples-per-record: 0"),
     (["eval", "--model", "CKPT", "--corpus", "MISSING", "--seed", "-1"],
      "invalid value for --seed: -1"),
+    (["train", "--corpus", "MISSING", "--lr", "nan"], "lr must be positive and finite, got nan"),
+    (["train", "--corpus", "MISSING", "--lr", "inf"], "lr must be positive and finite, got inf"),
+    (["experiment", "--corpus", "MISSING", "--lr", "nan"],
+     "lr must be positive and finite, got nan"),
+    (["synth", "--audio-seconds", "inf"], "soundtracks must be finite and over 50 ms, got inf"),
+    (["synth", "--audio-seconds", "nan"], "soundtracks must be finite and over 50 ms, got nan"),
 ], ids=["synth-noise", "synth-records", "split-seed", "sample-samples",
         "experiment-negative-seed", "split-negative-seed", "sample-negative-seed",
-        "sample-zero-samples", "eval-negative-seed"])
+        "sample-zero-samples", "eval-negative-seed", "train-nan-lr", "train-inf-lr",
+        "experiment-nan-lr", "synth-inf-seconds", "synth-nan-seconds"])
 def test_bad_value_is_usage_error_that_writes_nothing(tmp_path, capsys, request, argv,
                                                       message):
     if "CKPT" in argv:  # only eval needs a checkpoint to reach its flags
@@ -302,8 +309,9 @@ def test_mixed_grid_with_pretraining_is_usage_error(corpus_dir, tmp_path, capsys
     ('{"model": "crossmodal", "architecture": [1]}', "must be a mapping, not list"),
     ('{"model": "crossmodal", "architecture": {"classes": 4}}',
      "unexpected keyword argument 'classes'"),
+    ('{"model": "crossmodal", "architecture": {"heads": 0}}', "heads must be positive"),
 ], ids=["corrupt-json", "no-model", "no-architecture", "old-cnn", "list-architecture",
-        "classes"])
+        "classes", "zero-heads"])
 def test_eval_bad_sidecar_is_data_error_naming_it(trained_dir, tmp_path, capsys,
                                                    sidecar, reason):
     for name in ("model.ckpt", "model.ckpt.idx"):

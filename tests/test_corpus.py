@@ -329,6 +329,11 @@ def test_generator_config_validation():
         SyntheticConfig(records=4, audio_separability=1.5)
     with pytest.raises(ValueError):
         SyntheticConfig(records=4, noise=-0.1)
+    for seconds in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and over 50 ms"):
+            SyntheticConfig(records=4, audio_seconds=seconds)
+    with pytest.raises(ValueError, match="proportions"):
+        SyntheticConfig(records=4, proportions=(float("nan"), 0.5, 0.25, 0.25))
 
 
 def test_manifest_loader_errors(tmp_path):

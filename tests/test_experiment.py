@@ -67,6 +67,14 @@ def test_mixed_grid_with_pretraining_fails_at_spec(models):
     cnn_spec(models=models)  # the same grid without pretraining is valid
 
 
+def test_zero_heads_is_a_value_error(corpus, store):
+    spec = ExperimentSpec(models=("crossmodal",), strategies=("random",),
+                          samples_per_record=(2,), seeds=(0,), epochs=1, batch=16)
+    with pytest.raises(ValueError, match="^heads must be positive$"):
+        run_experiment(spec, corpus, architectures={"crossmodal": {"heads": 0}},
+                       store=store)
+
+
 def test_infeasible_samples_rejected_before_training(corpus, store):
     spec = cnn_spec(samples_per_record=(400,))  # J*K = 320
     with pytest.raises(InfeasibleSampleError):

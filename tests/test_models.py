@@ -95,6 +95,21 @@ def test_self_attention_rejects_indivisible_heads():
         SelfAttention(6, heads=4, rng=np.random.default_rng(0))
 
 
+def test_self_attention_records_four_projections_and_one_attention():
+    # attention reads each head's columns itself: no reshape or transpose
+    att = SelfAttention(8, heads=2, rng=np.random.default_rng(5))
+    x = Tensor(np.random.default_rng(6).normal(size=(2, 5, 8)), requires_grad=True)
+    ops = sorted(node.op for node in _tape(att(x)) if node._parents)
+    assert ops == ["attention", "linear", "linear", "linear", "linear"]
+
+
+def test_crossmodal_config_checks_positive_heads_before_divisibility():
+    with pytest.raises(ValueError, match="^heads must be positive$"):
+        CrossModalConfig(heads=0)
+    with pytest.raises(ShapeError, match="not divisible by 3 heads"):
+        CrossModalConfig(heads=3)
+
+
 def test_transformer_block_preserves_shape_and_equivariance():
     rng = np.random.default_rng(4)
     blk = TransformerBlock(8, heads=2, rng=rng, mlp_ratio=2)

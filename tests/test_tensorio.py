@@ -126,6 +126,19 @@ def test_checkpoint_malformed_index_line_names_the_index(tmp_path):
             f"{idx}: line 2 is not 'name offset shape': {junk!r}")
 
 
+def test_checkpoint_index_naming_a_tensor_twice_names_the_line(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, {"a": np.zeros((2, 2), dtype=np.float32),
+                           "b": np.ones((2, 2), dtype=np.float32)})
+    idx = tmp_path / "model.ckpt.idx"
+    b_line = idx.read_text().splitlines()[1]
+    repeat = "a " + b_line.split(" ", 1)[1]  # a second "a" at b's offset
+    idx.write_text(idx.read_text() + repeat + "\n")
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(ckpt)
+    assert str(info.value) == f"{idx}: line 3 repeats tensor 'a': {repeat!r}"
+
+
 def test_checkpoint_offsets_are_real_containers(tmp_path):
     named = {"a": np.zeros((2, 2), dtype=np.float32),
              "b": np.ones((3,), dtype=np.float32)}

@@ -257,6 +257,9 @@ def test_train_config_validation():
         TrainConfig(batch=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            TrainConfig(lr=lr)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
