@@ -5,8 +5,8 @@ strategy, trains from its seed, and scores the fixed held-out pair grid.
 The result bundles per-seed rows, seed-averaged aggregates, merged
 confusion matrices, and per-cell loss traces, all byte-reproducible.
 
-Set PQC_THREADS=<n> to run up to n cells at once, on threads of this
-process. They share one feature store: a store passed warm to
+The cells run at once, one thread per CPU of this process, at most two
+(on one CPU, one after another). They share one feature store: a store passed warm to
 run_experiment(store=...) is read, not decoded again, and the store holds
 one array per media file however many cells read it.
 """

@@ -40,11 +40,12 @@ Design notes
   two), on threads that the op starts and joins before it returns.  Each
   slice, sample or block is computed as on one CPU, into its own part of
   the result, and the kernel gradient's per-sample terms are summed in
-  sample order, so results are bit for bit the one-CPU results.  The
-  calling thread allocates every share's scratch.  Only an op called on
-  the main thread splits; on any other thread (a parallel experiment
-  cell's, say) it runs inline, since the other threads already use the
-  other CPUs.
+  sample order, so results are bit for bit the one-CPU results (BLAS runs
+  on one thread: importing :mod:`pineq` sets it).  The calling thread
+  allocates every share's scratch.  Only an op called on the main thread
+  splits; on any other thread (an experiment cell's, say: a grid runs its
+  cells on one thread per CPU, at most two) it runs inline, since the
+  other threads already use the other CPUs.
 * Graph recording is per thread: :func:`no_grad` on one thread leaves
   another thread's graph alone.
 """
@@ -103,7 +104,8 @@ def _cpu_count() -> int:
 # Shares an op on the main thread splits its samples or blocks into: the
 # process's CPUs, but at most two, because each running share of a conv
 # holds its own column block and a conv holds no more than a few sample
-# blocks at once.
+# blocks at once.  An experiment grid runs at most this many cell threads,
+# since each holds its own model, optimizer state and tape.
 _workers = min(_cpu_count(), 2)
 
 

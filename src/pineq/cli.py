@@ -100,8 +100,10 @@ def read_config(path: str) -> Dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in mapping:
+            raise UsageError(f"{path}:{lineno}: repeats key {key!r}: {raw!r}")
+        mapping[key] = value
     return mapping
 
 

@@ -14,17 +14,18 @@ cannot draw raises its ``InfeasibleSampleError``, and a split that holds
 no record out its ``CorpusError``, before any cell trains.
 
 The whole run is a pure function of (spec, corpus): reruns reproduce the
-report byte for byte. Independent cells may run in parallel on threads of
-this process; the ``PQC_THREADS`` environment variable caps how many cells
-run at once (default 1, i.e. serial). Every cell reads the caller's one
-feature store, warm entries included, which holds one array per media file
-whichever cells read it. A cell thread runs each op on its own thread, and
-takes the caller's numpy error state.
+report byte for byte. A grid of several cells runs them on one thread per
+CPU in the process's affinity, at most two (``autodiff._workers``, the width
+an op splits to) and at most one per cell; a grid of one cell, or a process
+on one CPU, runs on the calling thread, whose ops split over the CPUs
+instead. Every cell reads the caller's one feature store, warm
+entries included, which holds one array per media file whichever cells
+read it. A cell thread runs each op on its own thread, and takes the
+caller's numpy error state.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import autodiff
 from .corpus import (
     Corpus,
     CorpusError,
@@ -84,6 +86,11 @@ class ExperimentSpec:
             raise ValueError("samples_per_record must be non-empty positive ints")
         if not self.seeds or any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-empty non-negative ints")
+        for name in ("models", "strategies", "samples_per_record", "seeds"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} lists {repeated[0]!r} more than once")
         # every model's cells must be valid training runs, checked up front
         for model in self.models:
             self.cell_config(model, seed=int(self.seeds[0]))
@@ -150,15 +157,6 @@ def run_cell(spec: ExperimentSpec, store: FeatureStore,
     return outcome, result
 
 
-def _worker_count(n_cells: int) -> int:
-    raw = os.environ.get("PQC_THREADS", "1").strip() or "1"
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PQC_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(limit, n_cells))
-
-
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
@@ -192,7 +190,7 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
     jobs = [(cell, draw_cell(corpus, cell), architectures.get(cell[0]))
             for cell in spec.cells()]
 
-    workers = _worker_count(len(jobs))
+    workers = min(autodiff._workers, len(jobs))
     store = store if store is not None else FeatureStore(corpus)
     if workers > 1:
         # numpy keeps one error state per thread; every cell takes the caller's

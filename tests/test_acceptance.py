@@ -417,20 +417,19 @@ _C7_SEEDS = (0, 1, 2, 3, 4)
 
 
 @pytest.mark.slow
-def test_criterion_7_directional_reproduction(tmp_path, monkeypatch):
+def test_criterion_7_directional_reproduction(tmp_path):
     started = time.monotonic()
     corpus = generate_synthetic(SyntheticConfig(records=80, seed=0),
                                 tmp_path / "c7")
 
-    # The features are decoded once, here; the cells run on two threads
-    # (one per core of a 2-core machine) that share this store.
+    # The features are decoded once, here; the cells run on one thread per
+    # CPU (at most two), and those threads share this store.
     store = FeatureStore(corpus)
     for rec in corpus.records:
         for meta in rec.audio:
             store.audio_map(meta)
         for meta in rec.photos:
             store.image_map(meta)
-    monkeypatch.setenv("PQC_THREADS", "2")
     grids = (
         (("crossmodal",), ("random", "audio-major")),
         (("crossmodal-audio", "crossmodal-visual"), ("random",)),

@@ -238,10 +238,14 @@ def test_usage_errors(corpus_dir, tmp_path, capsys):
      "lr must be positive and finite, got nan"),
     (["synth", "--audio-seconds", "inf"], "soundtracks must be finite and over 50 ms, got inf"),
     (["synth", "--audio-seconds", "nan"], "soundtracks must be finite and over 50 ms, got nan"),
+    (["experiment", "--corpus", "MISSING", "--strategy", "random,audio-major,random"],
+     "strategies lists 'random' more than once"),
+    (["experiment", "--corpus", "MISSING", "--seed", "0,0"], "seeds lists 0 more than once"),
 ], ids=["synth-noise", "synth-records", "split-seed", "sample-samples",
         "experiment-negative-seed", "split-negative-seed", "sample-negative-seed",
         "sample-zero-samples", "eval-negative-seed", "train-nan-lr", "train-inf-lr",
-        "experiment-nan-lr", "synth-inf-seconds", "synth-nan-seconds"])
+        "experiment-nan-lr", "synth-inf-seconds", "synth-nan-seconds",
+        "experiment-repeated-strategy", "experiment-repeated-seed"])
 def test_bad_value_is_usage_error_that_writes_nothing(tmp_path, capsys, request, argv,
                                                       message):
     if "CKPT" in argv:  # only eval needs a checkpoint to reach its flags
@@ -287,6 +291,17 @@ def test_config_key_no_option_reads_is_usage_error(tmp_path, capsys, line, key):
                  "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(
         f"{cfg}: not an option of pineq split: {key}; its options are corpus, ")
+    assert not out.exists()
+
+
+def test_config_key_given_twice_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("epochs = 1\n# a comment\nseed = 0\n  epochs=2  # again\n")
+    out = tmp_path / "grid"
+    assert main(["experiment", "--corpus", str(tmp_path / "no-corpus"), "--out", str(out),
+                 "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"{cfg}:4: repeats key 'epochs': '  epochs=2  # again'\n")
     assert not out.exists()
 
 

@@ -32,6 +32,11 @@ def store(corpus):
     return FeatureStore(corpus)
 
 
+def _with_workers(monkeypatch, workers):
+    """Run grids with at most ``workers`` cell threads (and op shares)."""
+    monkeypatch.setattr(autodiff, "_workers", workers)
+
+
 def cnn_spec(**kw):
     base = dict(models=("cnn-audio",), strategies=("random",), samples_per_record=(2,),
                 seeds=(0,), epochs=1, batch=8)
@@ -55,6 +60,18 @@ def test_spec_validation():
         cnn_spec(seeds=(0, -1))
     with pytest.raises(ValueError):
         cnn_spec(smoothing=1.5)
+
+
+@pytest.mark.parametrize("field, values, message", [
+    ("models", ("cnn-audio", "cnn-visual", "cnn-audio"), "models lists 'cnn-audio'"),
+    ("strategies", ("random", "random"), "strategies lists 'random'"),
+    ("samples_per_record", (2, 4, 4), "samples_per_record lists 4"),
+    ("seeds", (0, 1, 0), "seeds lists 0"),
+], ids=["models", "strategies", "samples", "seeds"])
+def test_repeated_grid_value_is_a_value_error(field, values, message):
+    # a repeated value would train identical cells and report them twice
+    with pytest.raises(ValueError, match=f"^{message} more than once$"):
+        cnn_spec(**{field: values})
 
 
 @pytest.mark.parametrize("models", [("crossmodal", "ensemble"),
@@ -81,9 +98,9 @@ def test_infeasible_samples_rejected_before_training(corpus, store):
         run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("workers", [1, 2], ids=["1", "2"])
 def test_infeasible_cell_fails_before_any_cell_trains(corpus, store, monkeypatch,
-                                                      threads):
+                                                      workers):
     # random can draw 200 of a record's 320 pairs; audio-major only 8 x 16 = 128
     trained = []
 
@@ -92,15 +109,15 @@ def test_infeasible_cell_fails_before_any_cell_trains(corpus, store, monkeypatch
         raise AssertionError("a cell trained")
 
     monkeypatch.setattr(experiment, "train", spy)
-    monkeypatch.setenv("PQC_THREADS", threads)
+    _with_workers(monkeypatch, workers)
     spec = cnn_spec(strategies=("random", "audio-major"), samples_per_record=(200,))
     with pytest.raises(InfeasibleSampleError, match="pool of 8 views"):
         run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
     assert not trained
 
 
-@pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "threads"])
-def test_each_cell_is_drawn_once(corpus, store, monkeypatch, threads):
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "threads"])
+def test_each_cell_is_drawn_once(corpus, store, monkeypatch, workers):
     calls = []
     sample = experiment.sample_corpus_pairs
 
@@ -109,10 +126,7 @@ def test_each_cell_is_drawn_once(corpus, store, monkeypatch, threads):
         return sample(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "sample_corpus_pairs", spy)
-    if threads is None:
-        monkeypatch.delenv("PQC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("PQC_THREADS", threads)
+    _with_workers(monkeypatch, workers)
     spec = cnn_spec(strategies=("random", "audio-major"), seeds=(0, 1))
     run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
     assert len(calls) == len(spec.cells()) == 4
@@ -219,9 +233,10 @@ def test_rerun_reproduces_outputs_byte_for_byte(corpus, store, tmp_path):
 
 def test_parallel_workers_match_serial(corpus, store, monkeypatch):
     spec = cnn_spec(seeds=(0, 1))
+    _with_workers(monkeypatch, 1)
     serial = run_experiment(spec, corpus, architectures=CNN_ARCH,
                             store=store)
-    monkeypatch.setenv("PQC_THREADS", "2")
+    _with_workers(monkeypatch, 2)
     parallel = run_experiment(spec, corpus, architectures=CNN_ARCH)
     assert parallel.report_text() == serial.report_text()
     assert parallel.csv_text() == serial.csv_text()
@@ -229,8 +244,10 @@ def test_parallel_workers_match_serial(corpus, store, monkeypatch):
 
 def test_threaded_cells_match_serial_without_forking(corpus, store, monkeypatch,
                                                    tmp_path):
-    # cells run on threads of this process, which share one store; a cell
-    # thread runs its ops inline, while a serial grid splits them
+    # cells run on threads of this process, one per worker, which share one
+    # store; a cell thread runs its ops inline, while a grid on one worker
+    # runs its cells on the main thread, and a one-cell grid runs its cell
+    # there too, whose ops split
     arch = {"ensemble": {"embed_dim": 8, "head_hidden": 6}, "crossmodal": TINY_XM}
     spec = ExperimentSpec(models=("ensemble", "crossmodal"), strategies=("random",),
                           samples_per_record=(2,), seeds=(0, 1), epochs=1, batch=8)
@@ -248,22 +265,28 @@ def test_threaded_cells_match_serial_without_forking(corpus, store, monkeypatch,
     def no_fork():
         raise AssertionError("a parallel grid forked")
 
-    monkeypatch.setattr(autodiff, "_workers", 2)  # ops split wherever they may
     monkeypatch.setattr(autodiff, "ThreadPoolExecutor", op_pool)
     monkeypatch.setattr(experiment, "train", spy)
     monkeypatch.setattr(os, "fork", no_fork)
-    for name, threads in (("serial", "1"), ("threads", "2")):
-        monkeypatch.setenv("PQC_THREADS", threads)
-        write_outputs(run_experiment(spec, corpus, architectures=arch, store=store),
-                      tmp_path / name)
-        assert set(pools) == ({threading.main_thread().name} if name == "serial" else set())
-        pools.clear()
     main = threading.main_thread().name
-    assert cells[:4] == [main] * 4
-    assert main not in cells[4:] and len(cells) == 8
-    for name in ("report.txt", "results.csv"):
-        assert (tmp_path / "threads" / name).read_bytes() == \
-            (tmp_path / "serial" / name).read_bytes()
+    for workers in (1, 2, 3):
+        _with_workers(monkeypatch, workers)
+        write_outputs(run_experiment(spec, corpus, architectures=arch, store=store),
+                      tmp_path / str(workers))
+        assert len(cells) == 4 and not pools
+        if workers == 1:
+            assert set(cells) == {main}
+        else:
+            assert main not in cells and len(set(cells)) <= workers
+        cells.clear()
+        for name in ("report.txt", "results.csv"):
+            assert (tmp_path / str(workers) / name).read_bytes() == \
+                (tmp_path / "1" / name).read_bytes()
+    _with_workers(monkeypatch, 2)
+    one = ExperimentSpec(models=("crossmodal",), strategies=("random",),
+                         samples_per_record=(2,), seeds=(0,), epochs=1, batch=8)
+    run_experiment(one, corpus, architectures=arch, store=store)
+    assert cells == [main] and set(pools) == {main}
 
 
 def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatch):
@@ -280,8 +303,9 @@ def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatc
     for name in ("audio", "photos"):
         (tmp_path / "corpus" / name).rename(tmp_path / f"gone_{name}")
     spec = cnn_spec(seeds=(0, 1))
+    _with_workers(monkeypatch, 1)
     serial = run_experiment(spec, corpus, architectures=CNN_ARCH, store=warm)
-    monkeypatch.setenv("PQC_THREADS", "2")
+    _with_workers(monkeypatch, 2)
     parallel = run_experiment(spec, corpus, architectures=CNN_ARCH, store=warm)
     assert parallel.report_text() == serial.report_text()
     assert parallel.csv_text() == serial.csv_text()
@@ -291,7 +315,7 @@ def test_a_diverging_cell_raises_the_callers_floating_point_error(corpus, store,
                                                                  monkeypatch):
     # numpy keeps one error state per thread; a cell thread takes the caller's
     spec = cnn_spec(seeds=(0, 1), lr=1e30)  # overflows the weights on the first step
-    for threads in ("1", "2"):
-        monkeypatch.setenv("PQC_THREADS", threads)
+    for workers in (1, 2):
+        _with_workers(monkeypatch, workers)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             run_experiment(spec, corpus, architectures=CNN_ARCH, store=store)
