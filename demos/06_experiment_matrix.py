@@ -5,10 +5,11 @@ strategy, trains from its seed, and scores the fixed held-out pair grid.
 The result bundles per-seed rows, seed-averaged aggregates, merged
 confusion matrices, and per-cell loss traces, all byte-reproducible.
 
-The cells run at once, one thread per CPU of this process, at most two
-(on one CPU, one after another). They share one feature store: a store passed warm to
-run_experiment(store=...) is read, not decoded again, and the store holds
-one array per media file however many cells read it.
+The cells are split over the CPUs of this process, at most two, like an
+op's samples (on one CPU, they run one after another). They share one
+feature store: a store passed warm to run_experiment(store=...) is read,
+not decoded again, and the store holds one array per media file however
+many cells read it.
 """
 
 import tempfile

@@ -10,8 +10,9 @@ core.
 Importing the package sets numpy's bundled OpenBLAS to one thread, for the
 whole process, whatever the environment says: pineq spreads its own work
 over the CPUs (an op's samples, or an experiment's cells), and a one-thread
-product rounds the same whatever the CPU count. With any other BLAS this
-does nothing.
+product rounds the same whatever the CPU count. The pin looks for the
+``libscipy_openblas`` library that numpy 2 wheels bundle; with numpy 1.x,
+as with any other BLAS, it does nothing.
 """
 
 import ctypes

@@ -42,10 +42,10 @@ Design notes
   the result, and the kernel gradient's per-sample terms are summed in
   sample order, so results are bit for bit the one-CPU results (BLAS runs
   on one thread: importing :mod:`pineq` sets it).  The calling thread
-  allocates every share's scratch.  Only an op called on the main thread
-  splits; on any other thread (an experiment cell's, say: a grid runs its
-  cells on one thread per CPU, at most two) it runs inline, since the
-  other threads already use the other CPUs.
+  allocates every share's scratch.  An experiment's cells share the same
+  splitter, and there is no split inside a split: an op called inside a
+  running share (a cell's, say) runs inline, since the other shares
+  already use the other CPUs.
 * Graph recording is per thread: :func:`no_grad` on one thread leaves
   another thread's graph alone.
 """
@@ -101,40 +101,57 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Shares an op on the main thread splits its samples or blocks into: the
-# process's CPUs, but at most two, because each running share of a conv
-# holds its own column block and a conv holds no more than a few sample
-# blocks at once.  An experiment grid runs at most this many cell threads,
-# since each holds its own model, optimizer state and tape.
+# Shares a split deals its indices into: the process's CPUs, but at most
+# two, because each running share holds its own scratch (a conv's column
+# block; an experiment cell's model, optimizer state and tape).
 _workers = min(_cpu_count(), 2)
 
 
-def _per_sample(fn: Callable[[int, object], None], n: int,
-                scratch: Callable[[], object] = lambda: None) -> None:
+class _ThreadState(threading.local):
+    recording = True  # False inside this thread's no_grad()
+    in_share = False  # True while this thread runs a share of a split
+
+
+_local = _ThreadState()
+
+
+def _split(fn: Callable[[int, object], None], n: int,
+           scratch: Callable[[], object] = lambda: None) -> None:
     """Call ``fn(i, buf)`` for every ``i`` in ``range(n)``.
 
-    On the main thread the indices are cut into one contiguous share per
-    worker (at most ``n``); the calling thread runs the first share and
-    threads started for this call run the rest, and are joined before it
-    returns.  ``scratch()`` makes one share's reusable buffer, always on
-    the calling thread, so no worker thread allocates a large array.  With
-    one share, or on any thread but the main one, everything runs inline.
-    ``fn`` must write only its own index's slice of any shared output.
+    One share per worker (at most ``n``) takes the next index as soon as it
+    is free, so a long index (a cell with a larger budget) holds back no
+    other.  The calling thread runs one share and threads started for this
+    call run the rest, joined before it returns; each share takes the
+    caller's numpy error state and one buffer from ``scratch()``, made on
+    the calling thread.  With one share, or inside a running share (no
+    split inside a split), everything runs inline.  ``fn`` must write only
+    its own index's part of any shared output, so results do not depend on
+    which share ran it.
     """
-    main = threading.current_thread() is threading.main_thread()
-    k = max(1, min(_workers if main else 1, n))
+    k = 1 if _local.in_share else max(1, min(_workers, n))
     bufs = [scratch() for _ in range(k)]
-    cuts = [n * j // k for j in range(k + 1)]
-    errors = np.geterr()  # numpy keeps one per thread; every share takes the caller's
+    if k == 1:
+        for i in range(n):
+            fn(i, bufs[0])
+        return
+    errors = np.geterr()  # numpy keeps one per thread
+    undealt, lock = iter(range(n)), threading.Lock()
+
+    def deal() -> int:
+        with lock:
+            return next(undealt, n)
 
     def share(j: int) -> None:
-        with np.errstate(**errors):
-            for i in range(cuts[j], cuts[j + 1]):
-                fn(i, bufs[j])
+        _local.in_share = True
+        try:
+            with np.errstate(**errors):
+                for i in iter(deal, n):
+                    fn(i, bufs[j])
+        finally:
+            _local.in_share = False
 
-    if k == 1:
-        return share(0)
-    with ThreadPoolExecutor(k - 1, thread_name_prefix="pineq-op") as pool:
+    with ThreadPoolExecutor(k - 1, thread_name_prefix="pineq") as pool:
         futures = [pool.submit(share, j) for j in range(1, k)]
         share(0)
     for f in futures:
@@ -359,26 +376,19 @@ def _wrap(value, dtype=None) -> Tensor:
     return Tensor(value)
 
 
-class _Recording(threading.local):
-    on = True  # False inside this thread's no_grad()
-
-
-_recording = _Recording()
-
-
 @contextmanager
 def no_grad():
     """Record no graph in the block, on this thread: results of operations
     need no gradient and keep no parents, whatever their inputs."""
-    before, _recording.on = _recording.on, False
+    before, _local.recording = _local.recording, False
     try:
         yield
     finally:
-        _recording.on = before
+        _local.recording = before
 
 
 def _node(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
-    rg = _recording.on and any(p.requires_grad for p in parents)
+    rg = _local.recording and any(p.requires_grad for p in parents)
     return Tensor(data, rg, op=op, _parents=parents if rg else (),
                   _vjp=vjp if rg else None)
 
@@ -541,7 +551,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
             oi[rows] /= total
             li[rows] = top + np.log2(total)
 
-    _per_sample(forward, b * heads, block)
+    _split(forward, b * heads, block)
 
     def vjp(g):
         dq = np.empty_like(qs)
@@ -567,7 +577,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
             dqi *= scale
             dki *= 1.0 / _LOG2E  # qs carries scale * log2(e); the key gradient wants scale
 
-        _per_sample(backward, b * heads, lambda: (block(), block()))
+        _split(backward, b * heads, lambda: (block(), block()))
         return (dq, dk, dv)
 
     return _node(out, (q, k, v), vjp, "attention")
@@ -619,7 +629,7 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     def forward(b, cols):
         np.matmul(w2, _im2col(xp[b], kh, kw, ho, wo, cols), out=out[b])
 
-    _per_sample(forward, n, columns)
+    _split(forward, n, columns)
 
     def vjp(g):
         g2 = g.reshape(n, o, ho * wo)
@@ -637,7 +647,7 @@ def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
                 for j in range(kw):
                     dxp[b, :, i : i + ho, j : j + wo] += dcols[:, i, j]
 
-        _per_sample(backward, n, columns)
+        _split(backward, n, columns)
         dw = np.zeros(w2.shape, dtype=out.dtype)
         for term in terms:
             dw += term
@@ -675,7 +685,7 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
         for t in taps[1:]:
             np.maximum(ob, xb[t], out=ob)  # keeps the earlier value on ties
 
-    _per_sample(forward, n)
+    _split(forward, n)
 
     def vjp(g):
         dx = np.zeros_like(xd)
@@ -693,7 +703,7 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
                 open_ ^= hit
                 np.copyto(db[t], gb, where=hit)
 
-        _per_sample(backward, n, masks)
+        _split(backward, n, masks)
         return (dx,)
 
     return _node(out, (x,), vjp, "maxpool2d")
@@ -937,6 +947,6 @@ class Adam:
                     ub *= self.lr
                     wb -= ub
 
-            _per_sample(update, math.ceil(w.shape[0] / rows),
+            _split(update, math.ceil(w.shape[0] / rows),
                         lambda: np.empty((2, part) + w.shape[1:], m.dtype))
             p.grad = None

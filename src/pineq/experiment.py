@@ -14,19 +14,17 @@ cannot draw raises its ``InfeasibleSampleError``, and a split that holds
 no record out its ``CorpusError``, before any cell trains.
 
 The whole run is a pure function of (spec, corpus): reruns reproduce the
-report byte for byte. A grid of several cells runs them on one thread per
-CPU in the process's affinity, at most two (``autodiff._workers``, the width
-an op splits to) and at most one per cell; a grid of one cell, or a process
-on one CPU, runs on the calling thread, whose ops split over the CPUs
-instead. Every cell reads the caller's one feature store, warm
-entries included, which holds one array per media file whichever cells
-read it. A cell thread runs each op on its own thread, and takes the
-caller's numpy error state.
+report byte for byte. The cells go to the splitter that ops use
+(``autodiff._split``): on two CPUs or more, and with two cells or more,
+the calling thread and one more each take the next cell as soon as they
+are free, and each cell's ops run inline, since there is no split inside
+a split; a grid of one cell runs on the calling thread, whose ops split.
+Every cell reads the caller's one feature store, warm entries included,
+which holds one array per media file whichever cells read it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -190,21 +188,13 @@ def run_experiment(spec: ExperimentSpec, corpus: Corpus,
     jobs = [(cell, draw_cell(corpus, cell), architectures.get(cell[0]))
             for cell in spec.cells()]
 
-    workers = min(autodiff._workers, len(jobs))
     store = store if store is not None else FeatureStore(corpus)
-    if workers > 1:
-        # numpy keeps one error state per thread; every cell takes the caller's
-        errors = np.geterr()
+    outcomes = [None] * len(jobs)  # cell i writes only outcomes[i]
 
-        def cell(job) -> CellOutcome:
-            with np.errstate(**errors):
-                return run_cell(spec, store, *job)[0]
+    def cell(i: int, _) -> None:
+        outcomes[i] = run_cell(spec, store, *jobs[i])[0]
 
-        # one cell per task balances cells of unequal cost
-        with ThreadPoolExecutor(workers, thread_name_prefix="pineq-cell") as pool:
-            outcomes = list(pool.map(cell, jobs))
-    else:
-        outcomes = [run_cell(spec, store, *job)[0] for job in jobs]
+    autodiff._split(cell, len(jobs))
 
     rows = [ReportRow(o.model, o.strategy, o.samples_total, o.accuracy, o.seed)
             for o in outcomes]

@@ -83,8 +83,9 @@ def save_checkpoint(path: str | Path, named: dict[str, np.ndarray]) -> None:
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Read every tensor the index lists; each must have its indexed shape.
 
-    A malformed or repeated index line, or a malformed container, raises
-    :class:`FormatError` naming the file and the index line where there is one.
+    A malformed or repeated index line, one with a negative offset, or a
+    malformed container raises :class:`FormatError` naming the file and the
+    index line where there is one.
     """
     path = Path(path)
     index = Path(str(path) + ".idx")
@@ -99,6 +100,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         except ValueError:
             raise FormatError(
                 f"{index}: line {number} is not 'name offset shape': {line!r}") from None
+        if start < 0:
+            raise FormatError(f"{index}: line {number} has a negative offset: {line!r}")
         if name in named:
             raise FormatError(f"{index}: line {number} repeats tensor {name!r}: {line!r}")
         try:

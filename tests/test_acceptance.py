@@ -422,8 +422,8 @@ def test_criterion_7_directional_reproduction(tmp_path):
     corpus = generate_synthetic(SyntheticConfig(records=80, seed=0),
                                 tmp_path / "c7")
 
-    # The features are decoded once, here; the cells run on one thread per
-    # CPU (at most two), and those threads share this store.
+    # The features are decoded once, here; the cells go to the op splitter,
+    # on at most two threads (this one among them), which share this store.
     store = FeatureStore(corpus)
     for rec in corpus.records:
         for meta in rec.audio:

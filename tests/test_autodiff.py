@@ -364,17 +364,66 @@ def test_every_share_keeps_the_callers_numpy_error_state(monkeypatch):
         _with_workers(monkeypatch, 2, run)
 
 
-def test_an_op_splits_on_the_main_thread_only(monkeypatch):
-    # off the main thread (a parallel experiment cell's) the other CPUs are
-    # already busy, so every op runs inline
-    rng = np.random.default_rng(43)
-    x, w = _f32(rng, 4, 2, 9, 7), _f32(rng, 3, 2, 3, 3)
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Names of the threads that start a split's threads, one per split."""
+    started = []
     split = ad.ThreadPoolExecutor
 
     def spy(*args, **kwargs):
-        pools.append(threading.current_thread().name)
+        started.append(threading.current_thread().name)
         return split(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", spy)
+    return started
+
+
+@pytest.mark.parametrize("shares", [1] + SHARES)
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_a_split_deals_every_index_once_to_at_most_its_shares(monkeypatch, shares, n):
+    calls = []  # (index, thread, scratch) per call; list.append is atomic
+
+    def fn(i, buf):
+        calls.append((i, threading.current_thread(), buf))
+
+    _with_workers(monkeypatch, shares, lambda: ad._split(fn, n, object))
+    assert sorted(i for i, _, _ in calls) == list(range(n))
+    k = max(1, min(shares, n))
+    assert len({t for _, t, _ in calls}) <= k
+    # each share runs on one thread with its own scratch
+    owner = {}
+    for _, t, buf in calls:
+        assert owner.setdefault(buf, t) is t
+    assert len(owner) <= k
+
+
+@pytest.mark.parametrize("shares", SHARES)
+def test_a_slow_index_holds_back_no_other_index(monkeypatch, shares):
+    # index 0 finishes only after every other index has run: a share that
+    # was handed a fixed set of indices (0 among them) would wait for ever
+    n = 5
+    others_done, left = threading.Event(), [n - 1]
+    lock = threading.Lock()
+
+    def fn(i, _):
+        if i == 0:
+            assert others_done.wait(timeout=60), "an index waited for a slow one"
+            return
+        with lock:
+            left[0] -= 1
+            if left[0] == 0:
+                others_done.set()
+
+    _with_workers(monkeypatch, shares, lambda: ad._split(fn, n))
+
+
+def test_an_op_splits_on_any_thread_but_runs_inline_inside_a_split(monkeypatch, pools):
+    # inside a running share (a parallel experiment cell's) the other CPUs
+    # are already busy, so every op runs inline; outside one, on any thread,
+    # an op splits
+    rng = np.random.default_rng(43)
+    x, w = _f32(rng, 4, 2, 9, 7), _f32(rng, 3, 2, 3, 3)
+    here = threading.current_thread().name
 
     def run():
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
@@ -382,12 +431,43 @@ def test_an_op_splits_on_the_main_thread_only(monkeypatch):
         y.sum().backward()
         return y.data, xt.grad, wt.grad
 
-    monkeypatch.setattr(ad, "ThreadPoolExecutor", spy)
-    with ThreadPoolExecutor(1, thread_name_prefix="cell") as pool:
-        inline = _with_workers(monkeypatch, 2, lambda: pool.submit(run).result(timeout=60))
+    serial = _with_workers(monkeypatch, 1, run)
     assert pools == []
-    _assert_same_bits(inline, _with_workers(monkeypatch, 2, run))
-    assert pools and set(pools) == {threading.main_thread().name}
+    with ThreadPoolExecutor(1, thread_name_prefix="server") as pool:
+        off_main = _with_workers(monkeypatch, 2, lambda: pool.submit(run).result(timeout=60))
+    assert pools and set(pools) == {"server_0"}
+    _assert_same_bits(serial, off_main)
+    got = [None, None]
+
+    def cell(i, _):
+        ad._split(lambda j, _: None, 1)  # a one-share split leaves the flag alone
+        got[i] = run()
+
+    pools.clear()
+    _with_workers(monkeypatch, 2, lambda: ad._split(cell, 2))
+    assert pools == [here]  # the cells' split; none inside it
+    for bits in got:
+        _assert_same_bits(serial, bits)
+    # a one-share split (a one-cell grid) leaves its ops splitting
+    pools.clear()
+    _with_workers(monkeypatch, 2, lambda: ad._split(cell, 1))
+    assert pools and set(pools) == {here}
+    _assert_same_bits(serial, got[0])
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["callers-share", "other-share"])
+def test_after_a_share_raises_the_callers_next_op_splits(monkeypatch, pools, failing):
+    def fn(i, _):
+        if i == failing:
+            raise ValueError(f"index {i}")
+
+    with pytest.raises(ValueError, match=f"index {failing}"):
+        _with_workers(monkeypatch, 2, lambda: ad._split(fn, 2))
+    pools.clear()
+    rng = np.random.default_rng(44)
+    _with_workers(monkeypatch, 2, lambda: conv2d(Tensor(_f32(rng, 4, 1, 6, 6)),
+                                                 Tensor(_f32(rng, 1, 1, 3, 3))))
+    assert pools == [threading.current_thread().name]
 
 
 _NO_THREAD_OUTLIVES_ITS_OP = '''

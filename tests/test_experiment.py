@@ -33,7 +33,7 @@ def store(corpus):
 
 
 def _with_workers(monkeypatch, workers):
-    """Run grids with at most ``workers`` cell threads (and op shares)."""
+    """Split grids' cells (and ops) into at most ``workers`` shares."""
     monkeypatch.setattr(autodiff, "_workers", workers)
 
 
@@ -244,17 +244,18 @@ def test_parallel_workers_match_serial(corpus, store, monkeypatch):
 
 def test_threaded_cells_match_serial_without_forking(corpus, store, monkeypatch,
                                                    tmp_path):
-    # cells run on threads of this process, one per worker, which share one
-    # store; a cell thread runs its ops inline, while a grid on one worker
-    # runs its cells on the main thread, and a one-cell grid runs its cell
-    # there too, whose ops split
+    # cells go to the op splitter: on several workers the calling thread and
+    # threads of this process run them, share one store, and run their ops
+    # inline (no split inside a split); a grid on one worker runs its cells
+    # on the calling thread, and a one-cell grid runs its cell there too,
+    # whose ops split
     arch = {"ensemble": {"embed_dim": 8, "head_hidden": 6}, "crossmodal": TINY_XM}
     spec = ExperimentSpec(models=("ensemble", "crossmodal"), strategies=("random",),
                           samples_per_record=(2,), seeds=(0, 1), epochs=1, batch=8)
     pools, cells = [], []
     split, train = autodiff.ThreadPoolExecutor, experiment.train
 
-    def op_pool(*args, **kwargs):
+    def spy_split(*args, **kwargs):
         pools.append(threading.current_thread().name)
         return split(*args, **kwargs)
 
@@ -265,7 +266,7 @@ def test_threaded_cells_match_serial_without_forking(corpus, store, monkeypatch,
     def no_fork():
         raise AssertionError("a parallel grid forked")
 
-    monkeypatch.setattr(autodiff, "ThreadPoolExecutor", op_pool)
+    monkeypatch.setattr(autodiff, "ThreadPoolExecutor", spy_split)
     monkeypatch.setattr(experiment, "train", spy)
     monkeypatch.setattr(os, "fork", no_fork)
     main = threading.main_thread().name
@@ -273,11 +274,13 @@ def test_threaded_cells_match_serial_without_forking(corpus, store, monkeypatch,
         _with_workers(monkeypatch, workers)
         write_outputs(run_experiment(spec, corpus, architectures=arch, store=store),
                       tmp_path / str(workers))
-        assert len(cells) == 4 and not pools
+        assert len(cells) == 4
         if workers == 1:
-            assert set(cells) == {main}
+            assert set(cells) == {main} and not pools
         else:
-            assert main not in cells and len(set(cells)) <= workers
+            # the cells' one split, and no op split inside a cell
+            assert pools == [main] and 1 < len(set(cells)) <= workers
+        pools.clear()
         cells.clear()
         for name in ("report.txt", "results.csv"):
             assert (tmp_path / str(workers) / name).read_bytes() == \
@@ -286,7 +289,7 @@ def test_threaded_cells_match_serial_without_forking(corpus, store, monkeypatch,
     one = ExperimentSpec(models=("crossmodal",), strategies=("random",),
                          samples_per_record=(2,), seeds=(0,), epochs=1, batch=8)
     run_experiment(one, corpus, architectures=arch, store=store)
-    assert cells == [main] and set(pools) == {main}
+    assert cells == [main] and pools and set(pools) == {main}
 
 
 def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatch):
@@ -313,7 +316,8 @@ def test_parallel_workers_read_the_warm_store_not_the_media(tmp_path, monkeypatc
 
 def test_a_diverging_cell_raises_the_callers_floating_point_error(corpus, store,
                                                                  monkeypatch):
-    # numpy keeps one error state per thread; a cell thread takes the caller's
+    # numpy keeps one error state per thread; every share of the cells takes
+    # the caller's
     spec = cnn_spec(seeds=(0, 1), lr=1e30)  # overflows the weights on the first step
     for workers in (1, 2):
         _with_workers(monkeypatch, workers)

@@ -126,6 +126,19 @@ def test_checkpoint_malformed_index_line_names_the_index(tmp_path):
             f"{idx}: line 2 is not 'name offset shape': {junk!r}")
 
 
+def test_checkpoint_negative_offset_names_the_index_line(tmp_path):
+    # a negative slice start would read from the end of the file
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, {"w": np.ones((2, 3), dtype=np.float32),
+                           "b": np.ones((7,), dtype=np.float32)})
+    idx = tmp_path / "model.ckpt.idx"
+    bad = "b -40 7"  # the file's last 40 bytes are b's container
+    idx.write_text(idx.read_text().splitlines()[0] + "\n" + bad + "\n")
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(ckpt)
+    assert str(info.value) == f"{idx}: line 2 has a negative offset: {bad!r}"
+
+
 def test_checkpoint_index_naming_a_tensor_twice_names_the_line(tmp_path):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, {"a": np.zeros((2, 2), dtype=np.float32),
